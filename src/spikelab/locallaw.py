@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,11 @@ G_NORM_LIMIT = 1e3
 class ResolventBundle:
     """Resolvent of the linearized undeformed noise at one real z.
 
-    ``g`` is the full (M+N) x (M+N) resolvent; ``pi_m`` the dense top-left
+    G(z) is held implicitly through one eigendecomposition
+    y y' = U diag(gram_eigs) U' of the M x M Gram matrix of y = Sigma^{1/2} X
+    (``gram_vecs`` is U) and applied by ``g_apply`` in O(MN) per column;
+    ``g`` materializes the dense (M+N) x (M+N) matrix on first access, for
+    exact-identity checks only.  ``pi_m`` is the dense top-left
     deterministic block -(1/z)(I + m Sigma)^{-1}; the bottom-right block of
     the surrogate is m * I and is applied implicitly.
     """
@@ -37,13 +42,33 @@ class ResolventBundle:
     z: float
     m: float
     m_prime: float
-    g: np.ndarray
+    gram_eigs: np.ndarray
+    gram_vecs: np.ndarray
     pi_m: np.ndarray
     y: np.ndarray
     sigma: CovarianceModel
     m_dim: int
     n_dim: int
     g_norm: float
+
+    def g_apply(self, vec: np.ndarray) -> np.ndarray:
+        """Apply G(z) to a vector or to a block of columns.
+
+        With a = vec[:M] and b = vec[M:], the block formulas
+        G11 = (y y' - z)^{-1}, G12 = G11 y / sqrt(z) and
+        G22 = -(I - y' G11 y) / z give
+        G vec = [t; y' t / sqrt(z) - b / z] with t = G11 (a + y b / sqrt(z)).
+        """
+        sqrt_z = math.sqrt(self.z)
+        a, b = vec[: self.m_dim], vec[self.m_dim:]
+        coef = self.gram_vecs.T @ (a + (self.y @ b) / sqrt_z)
+        top = self.gram_vecs @ (coef.T / (self.gram_eigs - self.z)).T
+        return np.concatenate([top, (self.y.T @ top) / sqrt_z - b / self.z])
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        """Dense G(z), built column by column through ``g_apply``."""
+        return self.g_apply(np.eye(self.m_dim + self.n_dim))
 
     def pi_apply(self, vec: np.ndarray) -> np.ndarray:
         out = np.empty_like(vec)
@@ -74,9 +99,12 @@ def pi_m_matrix(sigma: CovarianceModel, z: float, m: float) -> np.ndarray:
 
 def build_resolvent(x: np.ndarray, sigma: CovarianceModel, z: float,
                     edge=None) -> ResolventBundle:
-    """Assemble G(z) = (H(z) - z)^{-1} for the undeformed noise.
+    """Factor G(z) = (H(z) - z)^{-1} for the undeformed noise.
 
-    Requires z >= lambda_plus + 0.05 and a conditioning guard
+    One symmetric eigendecomposition of the M x M Gram matrix y y' serves
+    every application of G(z) (see ``ResolventBundle.g_apply``) and the
+    norm ||G|| = 1 / min(|sqrt(z) s - z|, z) over the singular values s of
+    y.  Requires z >= lambda_plus + 0.05 and a conditioning guard
     ||G|| <= 1e3 (exceptional draws put an eigenvalue close to z; callers
     skip and record those seeds).
     """
@@ -96,24 +124,17 @@ def build_resolvent(x: np.ndarray, sigma: CovarianceModel, z: float,
     m_prime = 1.0 / f_eval(m_val, nu, phi)[1]
 
     y = sigma.sqrt_matmat(x)
-    sqrt_z = math.sqrt(z)
-    svals = np.linalg.svd(y, compute_uv=False)
-    dist = min(float(np.abs(sqrt_z * svals - z).min()), z)
+    gram_eigs, gram_vecs = np.linalg.eigh(y @ y.T)
+    svals = np.sqrt(np.clip(gram_eigs, 0.0, None))
+    dist = min(float(np.abs(math.sqrt(z) * svals - z).min()), z)
     g_norm = 1.0 / dist if dist > 0 else np.inf
     if g_norm > G_NORM_LIMIT:
         raise NumericalError(
             f"resolvent too ill-conditioned at z={z!r}: ||G|| ~ {g_norm:.2e}"
         )
 
-    h_shift = np.zeros((m_dim + n_dim, m_dim + n_dim))
-    h_shift[:m_dim, m_dim:] = sqrt_z * y
-    h_shift[m_dim:, :m_dim] = sqrt_z * y.T
-    np.fill_diagonal(h_shift, -z)
-    g = np.linalg.inv(h_shift)
-    g = 0.5 * (g + g.T)
-
     return ResolventBundle(
-        z=z, m=m_val, m_prime=m_prime, g=g,
+        z=z, m=m_val, m_prime=m_prime, gram_eigs=gram_eigs, gram_vecs=gram_vecs,
         pi_m=pi_m_matrix(sigma, z, m_val), y=y,
         sigma=sigma, m_dim=m_dim, n_dim=n_dim, g_norm=g_norm,
     )
@@ -122,13 +143,14 @@ def build_resolvent(x: np.ndarray, sigma: CovarianceModel, z: float,
 def isotropic_residual(bundle: ResolventBundle, u: np.ndarray,
                        v: np.ndarray) -> float:
     """|u' (G - Pi) v| for unit vectors in the embedded (M+N) space."""
-    return float(abs(u @ (bundle.g @ v) - u @ bundle.pi_apply(v)))
+    return float(abs(u @ bundle.g_apply(v) - u @ bundle.pi_apply(v)))
 
 
 def g_squared_residual(bundle: ResolventBundle, u: np.ndarray,
                        v: np.ndarray) -> float:
     """|u' G^2 v - u' Pi_2 v| (G is symmetric, so G^2 needs two matvecs)."""
-    return float(abs((bundle.g @ u) @ (bundle.g @ v) - u @ bundle.pi2_apply(v)))
+    gu, gv = bundle.g_apply(np.column_stack([u, v])).T
+    return float(abs(gu @ gv - u @ bundle.pi2_apply(v)))
 
 
 def divided_difference(bundle: ResolventBundle, other: ResolventBundle) -> float:
@@ -152,8 +174,9 @@ def two_resolvent_residuals(bundle: ResolventBundle, other: ResolventBundle,
     u_emb = np.concatenate([u, np.zeros(n_dim)])
     v_emb = np.concatenate([np.zeros(m_dim), v])
 
-    gu, gv = bundle.g @ u_emb, bundle.g @ v_emb
-    gsu, gsv = other.g @ u_emb, other.g @ v_emb
+    probes = np.column_stack([u_emb, v_emb])
+    gu, gv = bundle.g_apply(probes).T
+    gsu, gsv = other.g_apply(probes).T
 
     def w_m(p, q):
         return float(p[:m_dim] @ bundle.sigma.matvec(q[:m_dim]))
@@ -197,7 +220,7 @@ def _embed_factors(signal: SignalModel):
 def master_matrix_g(bundle: ResolventBundle, signal: SignalModel) -> np.ndarray:
     """A_G(z) = sqrt(z) U' G(z) U + D^{-1} (2K x 2K, symmetric)."""
     frak_u, d_inv = _embed_factors(signal)
-    a = math.sqrt(bundle.z) * (frak_u.T @ (bundle.g @ frak_u)) + d_inv
+    a = math.sqrt(bundle.z) * (frak_u.T @ bundle.g_apply(frak_u)) + d_inv
     return 0.5 * (a + a.T)
 
 
@@ -240,6 +263,13 @@ class MasterMatrixReport:
     sample_spikes: np.ndarray
 
 
+def sample_spikes(x: np.ndarray, sigma: CovarianceModel, signal: SignalModel,
+                  k: int) -> np.ndarray:
+    """Top-k sample eigenvalues: squared singular values of S + Sigma^{1/2} X."""
+    ytilde = signal.dense() + sigma.sqrt_matmat(x)
+    return np.linalg.svd(ytilde, compute_uv=False)[:k] ** 2
+
+
 def master_matrix_suite(x: np.ndarray, sigma: CovarianceModel,
                         signal: SignalModel, theory: SpikeTheory) -> MasterMatrixReport:
     """Exercise the determinant identity and the null-vector structure.
@@ -252,9 +282,7 @@ def master_matrix_suite(x: np.ndarray, sigma: CovarianceModel,
     if theory.K0 < 1:
         raise DomainError("master matrix suite requires K0 >= 1")
     k0 = theory.K0
-    ytilde = signal.dense() + sigma.sqrt_matmat(x)
-    svals = np.linalg.svd(ytilde, compute_uv=False)
-    lam = svals[:k0] ** 2
+    lam = sample_spikes(x, sigma, signal, k0)
 
     smallest = np.empty(k0)
     nullres = np.empty(k0)
@@ -291,27 +319,27 @@ def master_matrix_suite(x: np.ndarray, sigma: CovarianceModel,
 
 
 def green_rep_residual(x: np.ndarray, sigma: CovarianceModel,
-                       signal: SignalModel, theory: SpikeTheory) -> np.ndarray:
+                       signal: SignalModel, theory: SpikeTheory,
+                       lam: np.ndarray | None = None) -> np.ndarray:
     """Per-spike residual of the resolvent representation of the fluctuation.
 
     Compares sqrt(N) (lambda_k - theta_k) against
     -sqrt(N) sigma~_k theta'_k [u_k; v_k]' (G - Pi)(theta_k) [u_k; v_k]
-    with lambda_k extracted from the same noise draw.
+    with lambda_k extracted from the same noise draw.  ``lam``, when given,
+    is ``sample_spikes(x, sigma, signal, theory.K0)`` computed by the caller.
     """
     if theory.K0 < 1:
         raise DomainError("green representation requires K0 >= 1")
     k0 = theory.K0
-    n_dim = x.shape[1]
-    ytilde = signal.dense() + sigma.sqrt_matmat(x)
-    svals = np.linalg.svd(ytilde, compute_uv=False)
-    lam = svals[:k0] ** 2
-    sqrt_n = math.sqrt(n_dim)
+    if lam is None:
+        lam = sample_spikes(x, sigma, signal, k0)
+    sqrt_n = math.sqrt(x.shape[1])
 
     out = np.empty(k0)
     for k in range(k0):
         bundle = build_resolvent(x, sigma, float(theory.theta[k]), theory.edge)
         q = np.concatenate([theory.u_vectors[k], theory.s_top_psi[k]])
-        upsilon_quad = float(q @ (bundle.g @ q) - q @ bundle.pi_apply(q))
+        upsilon_quad = float(q @ bundle.g_apply(q) - q @ bundle.pi_apply(q))
         predicted = (-sqrt_n * float(theory.sigma_tilde[k])
                      * float(theory.theta_prime[k]) * upsilon_quad)
         out[k] = abs(sqrt_n * (lam[k] - float(theory.theta[k])) - predicted)

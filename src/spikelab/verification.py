@@ -25,6 +25,7 @@ from .locallaw import (
     isotropic_residual,
     master_matrix_suite,
     pi_m_matrix,
+    sample_spikes,
     two_resolvent_residuals,
 )
 
@@ -139,7 +140,10 @@ def _identity_checks(report: VerificationReport, master_seed: int):
     err_m = abs(tr_m + (1.0 + z * bundle.m) / (z * bundle.m))
     report.add("trace_identity_m", err_m, err_m <= tol["trace_identity_m"],
                tol["trace_identity_m"])
-    err_n = abs(bundle.m * n_dim / n_dim - bundle.m)  # Pi_N is exactly m I
+    # exact for the sampled resolvent: tr G22 - tr G11 = -(N - M) / z
+    g = bundle.g
+    tr_gap = (np.trace(g[m_dim:, m_dim:]) - np.trace(g[:m_dim, :m_dim])) / n_dim
+    err_n = abs(tr_gap + (n_dim - m_dim) / (n_dim * z))
     report.add("trace_identity_n", err_n, err_n <= tol["trace_identity_n"],
                tol["trace_identity_n"])
 
@@ -208,15 +212,11 @@ def _scaling_checks(report: VerificationReport, n_small: int, seeds: int,
                           else law.sample(stream(master_seed, _sidx, seed_idx,
                                                  2 + draw), (_m, _n))
                           / math.sqrt(_n))
+                    lam = sample_spikes(xg, _sigma, _signal, _theory.K0)
                     greens.append(float(
-                        green_rep_residual(xg, _sigma, _signal, _theory)[0]
+                        green_rep_residual(xg, _sigma, _signal, _theory, lam)[0]
                     ))
-                    flucts.append(float(
-                        math.sqrt(_n)
-                        * (np.linalg.svd(_signal.dense() + _sigma.sqrt_matmat(xg),
-                                         compute_uv=False)[0] ** 2
-                           - _theory.theta[0])
-                    ))
+                    flucts.append(float(math.sqrt(_n) * (lam[0] - _theory.theta[0])))
                 return {
                     "isotropic": _median(iso),
                     "g_squared": _median(gsq),

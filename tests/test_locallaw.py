@@ -2,18 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from spikelab.errors import DomainError
+from spikelab.errors import DomainError, NumericalError
 from spikelab.spectra import esd, make_covariance
 from spikelab.stieltjes import find_w_plus, m_derivative_and_divided_difference
 from spikelab.spikes import SignalModel, asymptotic_quantities, deform
 from spikelab.ensemble import make_noise_law, stream
 from spikelab.locallaw import (
+    EDGE_MARGIN,
+    G_NORM_LIMIT,
     build_resolvent,
     divided_difference,
     green_rep_residual,
     g_squared_residual,
     isotropic_residual,
+    master_matrix_g,
     master_matrix_suite,
     two_resolvent_residuals,
 )
@@ -198,3 +203,107 @@ class TestGreenRepresentation:
                                 + 4 * (theory.theta_prime * signal.svals[:2]).max() ** 2)
         assert np.median(res[:, 0]) <= 0.5 * fluct_scale
         assert np.median(res[:, 1]) <= 0.5 * fluct_scale
+
+
+# (M, N) strategies for the four orientations the spectral resolvent must serve
+SHAPES = {
+    "M<N": st.integers(2, 15).flatmap(
+        lambda m: st.tuples(st.just(m), st.integers(m + 1, m + 20))),
+    "M=N": st.integers(2, 20).map(lambda m: (m, m)),
+    "M>N": st.integers(2, 15).flatmap(
+        lambda n: st.tuples(st.integers(n + 1, n + 20), st.just(n))),
+    "M=1": st.integers(1, 20).map(lambda n: (1, n)),
+}
+
+
+def dense_oracle(b):
+    """inv(H(z) - z) built from the bundle's y, independently of g_apply."""
+    m_dim, n_dim = b.m_dim, b.n_dim
+    h = np.zeros((m_dim + n_dim,) * 2)
+    h[:m_dim, m_dim:] = math.sqrt(b.z) * b.y
+    h[m_dim:, :m_dim] = math.sqrt(b.z) * b.y.T
+    return np.linalg.inv(h - b.z * np.eye(m_dim + n_dim))
+
+
+class TestSpectralResolvent:
+    @pytest.mark.parametrize("recipe", ["identity", "toeplitz"])
+    @pytest.mark.parametrize("kind", sorted(SHAPES))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_dense_inverse(self, kind, recipe, data):
+        m_dim, n_dim = data.draw(SHAPES[kind])
+        seed = data.draw(st.integers(0, 2**16))
+        offset = data.draw(st.floats(0.2, 3.0))
+        kwargs = {"rho": 0.3} if recipe == "toeplitz" else {}
+        sigma = make_covariance(recipe, m_dim, **kwargs)
+        edge = find_w_plus(esd(sigma), m_dim / n_dim)
+        rng = stream(seed)
+        x = rng.standard_normal((m_dim, n_dim)) / math.sqrt(n_dim)
+        try:
+            b = build_resolvent(x, sigma, edge.lambda_plus + offset, edge)
+        except NumericalError:
+            reject()
+        oracle = dense_oracle(b)
+
+        vec = rng.standard_normal(m_dim + n_dim)
+        np.testing.assert_allclose(b.g_apply(vec), oracle @ vec, rtol=0, atol=1e-10)
+        block = rng.standard_normal((m_dim + n_dim, 3))
+        np.testing.assert_allclose(b.g_apply(block), oracle @ block, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(b.g, oracle, rtol=0, atol=1e-10)
+        assert b.g_norm == pytest.approx(np.abs(np.linalg.eigvalsh(oracle)).max(),
+                                         rel=1e-8)
+        tr_gap = (np.trace(oracle[m_dim:, m_dim:])
+                  - np.trace(oracle[:m_dim, :m_dim])) / n_dim
+        assert tr_gap == pytest.approx(-(n_dim - m_dim) / (n_dim * b.z), abs=1e-10)
+
+        k = data.draw(st.integers(1, min(m_dim, n_dim, 3)))
+        left = np.linalg.qr(rng.standard_normal((m_dim, k)))[0]
+        right = np.linalg.qr(rng.standard_normal((n_dim, k)))[0]
+        signal = SignalModel.from_factors(left, rng.uniform(0.5, 3.0, k), right)
+        frak_u = np.zeros((m_dim + n_dim, 2 * k))
+        frak_u[:m_dim, :k] = signal.left
+        frak_u[m_dim:, k:] = signal.right
+        d_inv = np.zeros((2 * k, 2 * k))
+        d_inv[:k, k:] = d_inv[k:, :k] = np.diag(1.0 / signal.svals)
+        expected = math.sqrt(b.z) * (frak_u.T @ oracle @ frak_u) + d_inv
+        np.testing.assert_allclose(master_matrix_g(b, signal), expected,
+                                   rtol=0, atol=1e-10)
+
+
+def planted(m_dim, n_dim, svals):
+    """M x N matrix with the given singular values and generic vectors."""
+    rng = stream(21)
+    left = np.linalg.qr(rng.standard_normal((m_dim, m_dim)))[0]
+    right = np.linalg.qr(rng.standard_normal((n_dim, m_dim)))[0]
+    return (left * np.asarray(svals)) @ right.T
+
+
+class TestBuildResolventGuards:
+    M_DIM, N_DIM = 4, 8
+
+    def sigma_and_edge(self):
+        sigma = make_covariance("identity", self.M_DIM)
+        return sigma, find_w_plus(esd(sigma), self.M_DIM / self.N_DIM)
+
+    @pytest.mark.parametrize("factor, raises", [(1.0 + 1e-6, True), (1.0 - 1e-6, False)])
+    def test_norm_limit(self, factor, raises):
+        # a singular value s with sqrt(z) s - z = -d puts ||G|| at exactly 1/d
+        sigma, edge = self.sigma_and_edge()
+        z = edge.lambda_plus + 1.0
+        target = G_NORM_LIMIT * factor
+        s_near = math.sqrt(z) - 1.0 / (target * math.sqrt(z))
+        x = planted(self.M_DIM, self.N_DIM, [s_near, 0.5, 0.4, 0.3])
+        if raises:
+            with pytest.raises(NumericalError):
+                build_resolvent(x, sigma, z, edge)
+        else:
+            b = build_resolvent(x, sigma, z, edge)
+            assert b.g_norm == pytest.approx(target, rel=1e-9)
+
+    def test_edge_margin(self):
+        sigma, edge = self.sigma_and_edge()
+        x = planted(self.M_DIM, self.N_DIM, [0.5] * self.M_DIM)
+        z_min = edge.lambda_plus + EDGE_MARGIN
+        assert build_resolvent(x, sigma, z_min, edge).z == z_min
+        with pytest.raises(DomainError):
+            build_resolvent(x, sigma, z_min - 1e-9, edge)
