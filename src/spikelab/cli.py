@@ -12,11 +12,14 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 import jsonschema
@@ -33,20 +36,24 @@ from .ensemble import (
     SpikeMCConfig,
     make_noise_law,
     mixture_signal,
+    parallel_map,
     run_spike_mc,
     stream,
+    top_eigs,
 )
 from .hetero import (
     CriticalValues,
+    Scenario,
     calibrate,
     default_grid,
     detect,
+    draw_centers,
+    draw_data,
     ds_rs_stats,
     run_power_experiment,
     run_size_experiment,
-    top_eigs,
 )
-from .verification import run_verification
+from .verification import jsonable, run_verification
 
 # -- config schemas -------------------------------------------------------
 
@@ -239,12 +246,21 @@ _DEFAULT_CALIBRATION = {"k_star": 4, "n_star": 100, "reps": 30000,
                         "quantile": 0.95, "master_seed": 0}
 
 
+# config key that each command-line flag overrides
+_FLAG_KEYS = {"seed": "master_seed", "reps": "reps", "threads": "threads",
+              "kstar": "k_star", "nstar": "n_star", "quantile": "quantile",
+              "target": "target", "scale": "scale", "n": "samples",
+              "seeds": "seeds"}
+
+
 class VerificationFailure(SpikelabError):
     pass
 
 
-def load_config(path: str | None, command: str, overrides: dict) -> dict:
+def load_config(args) -> dict:
+    """The subcommand's JSON config with its command-line flags applied."""
     cfg = {}
+    path = args.config
     if path is not None:
         try:
             with open(path) as fh:
@@ -256,9 +272,11 @@ def load_config(path: str | None, command: str, overrides: dict) -> dict:
             ) from exc
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
+    for flag, key in _FLAG_KEYS.items():
+        if getattr(args, flag, None) is not None:
+            cfg[key] = getattr(args, flag)
     try:
-        jsonschema.validate(cfg, CONFIG_SCHEMAS[command])
+        jsonschema.validate(cfg, CONFIG_SCHEMAS[args.command])
     except jsonschema.ValidationError as exc:
         loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config field {loc}: {exc.message}") from exc
@@ -283,10 +301,9 @@ def build_signal(spec: dict, m_dim: int, n_dim: int) -> SignalModel:
         right = np.linalg.qr(rng.standard_normal((n_dim, k)))[0]
         return SignalModel.from_factors(left, spec["strengths"], right)
     if kind == "mixture":
-        from .hetero import _draw_centers
         rng = stream(spec["seed"], 0)
-        centers = _draw_centers(spec["clusters"], m_dim, rng,
-                                spec.get("scale", 1.0)) * math.sqrt(n_dim)
+        centers = draw_centers(spec["clusters"], m_dim, rng,
+                               spec.get("scale", 1.0)) * math.sqrt(n_dim)
         sig, _counts = mixture_signal(centers, "equal", n_dim)
         return sig
     if kind == "mixture-explicit":
@@ -305,7 +322,8 @@ def build_noise(spec: dict | None):
 
 
 class OutputSession:
-    """Tracks files written by one command; removes partial outputs on failure."""
+    """Tracks files written by one command; used as a context manager, it
+    removes them when the block raises."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
@@ -324,32 +342,25 @@ class OutputSession:
             fh.write("\n")
         return p
 
-    def cleanup(self):
-        for p in self.paths:
-            try:
-                os.remove(p)
-            except OSError:
-                pass
+    def write_csv(self, name: str, header, rows) -> str:
+        p = self.path(name)
+        with open(p, "w") as fh:
+            for row in [header, *rows]:
+                fh.write(",".join(str(x) for x in row) + "\n")
+        return p
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            for p in self.paths:
+                with contextlib.suppress(OSError):
+                    os.remove(p)
 
 
 def _fmt(x, sig: int) -> str:
     return format(float(x), f".{sig}g")
-
-
-def _jsonable(x, sig=None):
-    if isinstance(x, dict):
-        return {k: _jsonable(v, sig) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v, sig) for v in x]
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist(), sig)
-    if isinstance(x, (np.floating, float)):
-        return float(_fmt(x, sig)) if sig else float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.bool_,)):
-        return bool(x)
-    return x
 
 
 def _meta(cfg: dict, t0: float) -> dict:
@@ -362,8 +373,7 @@ def _meta(cfg: dict, t0: float) -> dict:
 
 
 def cmd_theory(args) -> int:
-    cfg = load_config(args.config, "theory",
-                      {"master_seed": args.seed, "threads": args.threads})
+    cfg = load_config(args)
     t0 = time.time()
     sigma = build_covariance(cfg["covariance"])
     n_dim = cfg["samples"]
@@ -411,21 +421,15 @@ def cmd_theory(args) -> int:
                 "s_top_psi_sup": profile[:, 1],
             },
         })
-    session = OutputSession(args.out)
-    try:
-        payload = {"report": _jsonable(report, sig_digits), "meta": _meta(cfg, t0)}
-        p = session.write_json("theory_report.json", payload)
-    except Exception:
-        session.cleanup()
-        raise
+    with OutputSession(args.out) as session:
+        p = session.write_json("theory_report.json", {
+            "report": jsonable(report, sig_digits), "meta": _meta(cfg, t0)})
     print(p)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config, "simulate",
-                      {"master_seed": args.seed, "reps": args.reps,
-                       "threads": args.threads})
+    cfg = load_config(args)
     t0 = time.time()
     sigma = build_covariance(cfg["covariance"])
     n_dim = cfg["samples"]
@@ -440,29 +444,28 @@ def cmd_simulate(args) -> int:
         workers=cfg.get("threads"),
     )
     samples = run_spike_mc(mc)
-    session = OutputSession(args.out)
-    try:
+    with OutputSession(args.out) as session:
         csv_path = session.path("spike_samples.csv")
         samples.to_csv(csv_path, precision=cfg.get("precision", 10))
         meta = _meta(cfg, t0)
-        meta["theta"] = _jsonable(samples.theory.theta) if samples.theory else None
+        meta["theta"] = jsonable(samples.theory.theta) if samples.theory else None
         meta["K0"] = int(samples.fluctuations.shape[1])
         session.write_json("spike_samples.meta.json", meta)
-    except Exception:
-        session.cleanup()
-        raise
     print(csv_path)
     return 0
 
 
-def _freedman_diaconis_edges(values: np.ndarray) -> np.ndarray:
+def _histogram_rows(values: np.ndarray, sig_digits: int) -> list:
+    """(bin_left, bin_right, count) rows over Freedman-Diaconis bins."""
     q75, q25 = np.percentile(values, [75, 25])
     span = float(np.ptp(values))
     width = 2.0 * (q75 - q25) / len(values) ** (1.0 / 3.0)
     if width <= 0:
         width = max(span, 1.0) / 10.0
     nbins = max(int(math.ceil(span / width)), 1)
-    return np.linspace(values.min(), values.max(), nbins + 1)
+    counts, edges = np.histogram(values, bins=nbins, range=(values.min(), values.max()))
+    return [(_fmt(edges[i], sig_digits), _fmt(edges[i + 1], sig_digits), int(c))
+            for i, c in enumerate(counts)]
 
 
 def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -471,14 +474,20 @@ def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def cmd_nonuniversality(args) -> int:
-    cfg = load_config(args.config, "nonuniversality",
-                      {"master_seed": args.seed, "reps": args.reps,
-                       "threads": args.threads})
+    cfg = load_config(args)
     t0 = time.time()
+    with OutputSession(args.out) as session:
+        hist_path = _nonuniversality(session, cfg, cfg.get("reps", 2000), t0)
+    print(hist_path)
+    return 0
+
+
+def _nonuniversality(session, cfg, reps, t0):
+    """Spike histograms and pairwise KS distances per law and model; also
+    the body of ``reproduce --figure 1``, whose config holds no model keys."""
     m_dim = cfg.get("dim", 200)
     n_dim = cfg.get("samples", 400)
     laws = cfg.get("laws", ["gaussian", "three-point", "four-point"])
-    reps = cfg.get("reps", 2000)
     seed = cfg.get("master_seed", 0)
     sig_digits = cfg.get("precision", 10)
 
@@ -494,53 +503,29 @@ def cmd_nonuniversality(args) -> int:
                                model=model, workers=cfg.get("threads"))
             results[(law_kind, model)] = run_spike_mc(mc).lambdas[:, 0]
 
-    session = OutputSession(args.out)
-    try:
-        hist_path = session.path("nonuniversality_hist.csv")
-        with open(hist_path, "w") as fh:
-            fh.write("law,model,bin_left,bin_right,count\n")
-            for (law_kind, model), lam in sorted(results.items()):
-                edges = _freedman_diaconis_edges(lam)
-                counts, edges = np.histogram(lam, bins=edges)
-                for i, c in enumerate(counts):
-                    fh.write(f"{law_kind},{model},{_fmt(edges[i], sig_digits)},"
-                             f"{_fmt(edges[i + 1], sig_digits)},{int(c)}\n")
-        ks = {}
-        for model in ("additive", "multiplicative"):
-            pair_ks = {}
-            for i, la in enumerate(laws):
-                for lb in laws[i + 1:]:
-                    pair_ks[f"{la}|{lb}"] = _ks_distance(
-                        results[(la, model)], results[(lb, model)]
-                    )
-            ks[model] = pair_ks
-        session.write_json("nonuniversality_ks.json",
-                           {"ks": _jsonable(ks, sig_digits),
-                            "meta": _meta(cfg, t0)})
-    except Exception:
-        session.cleanup()
-        raise
-    print(hist_path)
-    return 0
+    hist_path = session.write_csv(
+        "nonuniversality_hist.csv", ("law", "model", "bin_left", "bin_right", "count"),
+        [(law_kind, model, *row) for (law_kind, model), lam in sorted(results.items())
+         for row in _histogram_rows(lam, sig_digits)])
+    ks = {model: {f"{la}|{lb}": _ks_distance(results[(la, model)],
+                                             results[(lb, model)])
+                  for la, lb in itertools.combinations(laws, 2)}
+          for model in ("additive", "multiplicative")}
+    session.write_json("nonuniversality_ks.json",
+                       {"ks": jsonable(ks, sig_digits), "meta": _meta(cfg, t0)})
+    return hist_path
 
 
 def cmd_calibrate(args) -> int:
-    overrides = {"master_seed": args.seed, "reps": args.reps,
-                 "k_star": args.kstar, "n_star": args.nstar,
-                 "quantile": args.quantile, "threads": args.threads}
-    cfg = load_config(args.config, "calibrate", overrides)
+    cfg = load_config(args)
     t0 = time.time()
     cv = calibrate(cfg["k_star"], cfg["n_star"], cfg["reps"],
                    cfg.get("quantile", 0.95), cfg.get("master_seed", 0),
                    workers=cfg.get("threads"))
-    session = OutputSession(args.out)
-    try:
+    with OutputSession(args.out) as session:
         p = session.write_json("critical_values.json",
-                               {"critical_values": _jsonable(vars(cv)),
+                               {"critical_values": jsonable(vars(cv)),
                                 "meta": _meta(cfg, t0)})
-    except Exception:
-        session.cleanup()
-        raise
     print(p)
     print(f"cv_DS={cv.cv_ds:.6g} cv_RS={cv.cv_rs:.6g}")
     return 0
@@ -559,56 +544,57 @@ def _critical_values_from_cfg(cfg: dict, threads=None) -> CriticalValues:
 
 
 def cmd_test(args) -> int:
-    cfg = load_config(args.config, "test",
-                      {"master_seed": args.seed, "threads": args.threads})
+    cfg = load_config(args)
     t0 = time.time()
     cv = _critical_values_from_cfg(cfg, cfg.get("threads"))
     if "data_csv" in cfg:
-        data = np.loadtxt(cfg["data_csv"], delimiter=",", ndmin=2)
+        data = _load_data_csv(cfg["data_csv"])
     elif "generate" in cfg:
         gen = cfg["generate"]
         sigma = build_covariance(gen["covariance"])
-        law = build_noise(gen.get("noise"))
-        n_dim = gen["samples"]
-        rng = stream(cfg.get("master_seed", 0), 0)
-        data = sigma.sqrt_matmat(law.sample(rng, (sigma.dim, n_dim)))
-        if gen.get("clusters", 0) >= 2:
-            from .hetero import _draw_centers
-            from .ensemble import equal_split_labels
-            centers = _draw_centers(gen["clusters"], sigma.dim, rng,
-                                    gen.get("center_scale", 1.0))
-            data = data + centers[:, equal_split_labels(n_dim, gen["clusters"])]
+        scenario = Scenario(sigma.dim, gen["samples"], build_noise(gen.get("noise")),
+                            sigma, gen.get("clusters", 0),
+                            gen.get("center_scale", 1.0))
+        data = draw_data(scenario, stream(cfg.get("master_seed", 0), 0))
     else:
         raise ConfigError("test needs either data_csv or generate")
+    if min(data.shape) < 2 * cfg["k_star"] - 1:
+        raise ConfigError(f"test data is {data.shape[0]}x{data.shape[1]}; K*="
+                          f"{cfg['k_star']} needs {2 * cfg['k_star'] - 1} rows and columns")
     result = detect(data, cfg["k_star"], cv, center=cfg.get("center", False))
-    session = OutputSession(args.out)
-    try:
+    with OutputSession(args.out) as session:
         p = session.write_json("detection.json", {
-            "decision": _jsonable(vars(result)),
-            "critical_values": _jsonable(vars(cv)),
+            "decision": jsonable(vars(result)),
+            "critical_values": jsonable(vars(cv)),
             "meta": _meta(cfg, t0),
         })
-    except Exception:
-        session.cleanup()
-        raise
     print(p)
     print(f"DS={result.ds:.6g} (reject={result.reject_ds}) "
           f"RS={result.rs:.6g} (reject={result.reject_rs})")
     return 0
 
 
+def _load_data_csv(path: str) -> np.ndarray:
+    """Read an M x N data matrix of finite numbers."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # an empty file only warns
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError, UserWarning) as exc:
+        raise ConfigError(f"cannot read data_csv {path}: {exc}") from exc
+    if not np.isfinite(data).all():
+        raise ConfigError(f"data_csv {path} has non-finite entries")
+    return data
+
+
 def _write_table(session, name, report, cfg, t0, sig_digits):
     header, rows = report.to_rows()
-    csv_path = session.path(f"{name}.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                x if isinstance(x, str) else _fmt(x, sig_digits) for x in row
-            ) + "\n")
+    csv_path = session.write_csv(f"{name}.csv", header, [
+        [x if isinstance(x, str) else _fmt(x, sig_digits) for x in row]
+        for row in rows])
     session.write_json(f"{name}.meta.json", {
         "meta": _meta(cfg, t0),
-        "critical_values": _jsonable(vars(report.cv)),
+        "critical_values": jsonable(vars(report.cv)),
         "reps": report.reps,
         "master_seed": report.master_seed,
         "cells": [c.label for c in report.cells],
@@ -617,10 +603,7 @@ def _write_table(session, name, report, cfg, t0, sig_digits):
 
 
 def cmd_reproduce(args) -> int:
-    cfg = load_config(args.config, "reproduce",
-                      {"master_seed": args.seed, "threads": args.threads,
-                       "scale": args.scale,
-                       "target": _target_from_flags(args)})
+    cfg = load_config(args)
     t0 = time.time()
     target = cfg["target"]
     scale = cfg.get("scale", 1.0)
@@ -628,8 +611,7 @@ def cmd_reproduce(args) -> int:
     threads = cfg.get("threads")
     sig_digits = cfg.get("precision", 10)
     reps = max(int(round(_BASE_REPS[target] * scale)), 1)
-    session = OutputSession(args.out)
-    try:
+    with OutputSession(args.out) as session:
         if target.startswith("table"):
             cv = _critical_values_from_cfg(cfg, threads)
             grid = default_grid()
@@ -641,15 +623,9 @@ def cmd_reproduce(args) -> int:
                                               threads)
             path = _write_table(session, target, report, cfg, t0, sig_digits)
         elif target == "figure1":
-            args.reps = reps
-            args.config = None
-            args.seed = seed
-            return cmd_nonuniversality(args)
+            path = _nonuniversality(session, cfg, reps, t0)
         else:  # figure2
             path = _figure2(session, reps, seed, cfg, t0, sig_digits)
-    except Exception:
-        session.cleanup()
-        raise
     print(path)
     return 0
 
@@ -657,63 +633,46 @@ def cmd_reproduce(args) -> int:
 def _figure2(session, reps, seed, cfg, t0, sig_digits):
     """Null/alternative DS and RS samples for M in {100, 200, 400}, N = 2M."""
     k_star = 4
+    law = make_noise_law("gaussian")
     rows = []
     for mi, m_dim in enumerate((100, 200, 400)):
         n_dim = 2 * m_dim
+        c1 = np.zeros(m_dim)
+        c1[0] = 1.5
+        sigma = make_covariance("identity", m_dim)
         for hi, hypothesis in enumerate(("null", "alt")):
-            def one(rep, _m=m_dim, _n=n_dim, _h=hypothesis, _mi=mi, _hi=hi):
-                rng = stream(seed, _mi, _hi, rep)
-                data = rng.standard_normal((_m, _n))
-                if _h == "alt":
-                    c1 = np.zeros(_m)
-                    c1[0] = 1.5
-                    from .ensemble import equal_split_labels
-                    centers = np.column_stack([c1, -c1])
-                    data = data + centers[:, equal_split_labels(_n, 2)]
-                eigs = top_eigs(data / math.sqrt(_n), 2 * k_star - 1)
+            centers = np.column_stack([c1, -c1]) if hypothesis == "alt" else None
+            scenario = Scenario(m_dim, n_dim, law, sigma, centers=centers)
+
+            def one(rep, _s=scenario, _mi=mi, _hi=hi):
+                data = draw_data(_s, stream(seed, _mi, _hi, rep))
+                eigs = top_eigs(data / math.sqrt(_s.n), 2 * k_star - 1)
                 return ds_rs_stats(eigs, k_star)
-            from .ensemble import parallel_map
+
             stats = parallel_map(one, range(reps), cfg.get("threads"))
             for stat_idx, stat_name in ((0, "DS"), (1, "RS")):
                 vals = np.array([s[stat_idx] for s in stats])
-                edges = _freedman_diaconis_edges(vals)
-                counts, edges = np.histogram(vals, bins=edges)
-                for i, c in enumerate(counts):
-                    rows.append((m_dim, hypothesis, stat_name,
-                                 _fmt(edges[i], sig_digits),
-                                 _fmt(edges[i + 1], sig_digits), int(c)))
-    csv_path = session.path("figure2_hist.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("dim,hypothesis,statistic,bin_left,bin_right,count\n")
-        for row in rows:
-            fh.write(",".join(str(x) for x in row) + "\n")
+                rows += [(m_dim, hypothesis, stat_name, *row)
+                         for row in _histogram_rows(vals, sig_digits)]
+    csv_path = session.write_csv(
+        "figure2_hist.csv",
+        ("dim", "hypothesis", "statistic", "bin_left", "bin_right", "count"), rows)
     session.write_json("figure2.meta.json", {"meta": _meta(cfg, t0),
                                              "reps": reps,
                                              "master_seed": seed})
     return csv_path
 
 
-def _target_from_flags(args) -> str | None:
-    if getattr(args, "table", None) is not None:
-        return f"table{args.table}"
-    if getattr(args, "figure", None) is not None:
-        return f"figure{args.figure}"
-    return None
-
-
 def cmd_verify(args) -> int:
-    cfg = load_config(args.config, "verify",
-                      {"master_seed": args.seed, "threads": args.threads,
-                       "samples": args.n, "seeds": args.seeds})
+    cfg = load_config(args)
     t0 = time.time()
     report = run_verification(
         n_small=cfg.get("samples", 200), seeds=cfg.get("seeds", 50),
         master_seed=cfg.get("master_seed", 0), workers=cfg.get("threads"),
     )
-    session = OutputSession(args.out)
-    payload = report.to_jsonable()
-    payload["meta"] = _meta(cfg, t0)
-    p = session.write_json("verification.json", payload)
+    with OutputSession(args.out) as session:
+        p = session.write_json("verification.json",
+                               {**report.to_jsonable(), "meta": _meta(cfg, t0)})
     print(p)
     for name, chk in report.checks.items():
         print(f"{'PASS' if chk['passed'] else 'FAIL'} {name}")
@@ -725,65 +684,67 @@ def cmd_verify(args) -> int:
 # -- entry point ----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a config error (exit 1, one line)."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spikelab",
         description="Spectral theory and Monte-Carlo validation for spiked "
                     "signal-plus-noise matrices",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help_text, seeded=True, reps=False):
+        """Subcommand taking --config, --out and only the flags it reads."""
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="master seed (overrides config)")
-        p.add_argument("--reps", type=int, help="replications (overrides config)")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, help="worker threads")
+        if seeded:
+            p.add_argument("--seed", type=int, help="master seed (overrides config)")
+            p.add_argument("--threads", type=int, help="worker threads")
+        if reps:
+            p.add_argument("--reps", type=int, help="replications (overrides config)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("theory", help="deterministic spike theory report")
-    common(p)
-    p.set_defaults(func=cmd_theory)
+    command("theory", cmd_theory, "deterministic spike theory report",
+            seeded=False)
+    command("simulate", cmd_simulate, "seeded spike Monte Carlo to CSV", reps=True)
+    command("nonuniversality", cmd_nonuniversality,
+            "additive vs multiplicative spike histograms per law", reps=True)
 
-    p = sub.add_parser("simulate", help="seeded spike Monte Carlo to CSV")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("nonuniversality",
-                       help="additive vs multiplicative spike histograms per law")
-    common(p)
-    p.set_defaults(func=cmd_nonuniversality)
-
-    p = sub.add_parser("calibrate", help="critical values via null Monte Carlo")
-    common(p)
+    p = command("calibrate", cmd_calibrate, "critical values via null Monte Carlo",
+                reps=True)
     p.add_argument("--kstar", type=int, help="cluster-count bound K*")
     p.add_argument("--nstar", type=int, help="null ensemble dimension")
     p.add_argument("--quantile", type=float, help="quantile level (default 0.95)")
-    p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("test", help="run the heterogeneity test on data")
-    common(p)
-    p.set_defaults(func=cmd_test)
+    command("test", cmd_test, "run the heterogeneity test on data")
 
-    p = sub.add_parser("reproduce", help="regenerate published tables/figures")
-    common(p)
-    p.add_argument("--table", type=int, choices=(1, 2, 3, 4))
-    p.add_argument("--figure", type=int, choices=(1, 2))
+    p = command("reproduce", cmd_reproduce, "regenerate published tables/figures")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--table", dest="target", type="table{}".format,
+                        choices=[f"table{i}" for i in (1, 2, 3, 4)])
+    target.add_argument("--figure", dest="target", type="figure{}".format,
+                        choices=["figure1", "figure2"])
     p.add_argument("--scale", type=float,
                    help="replication scale factor (1.0 = published count)")
-    p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("verify", help="run the local-law verification battery")
-    common(p)
+    p = command("verify", cmd_verify, "run the local-law verification battery")
     p.add_argument("--n", type=int, help="small size N (protocol compares N, 4N)")
     p.add_argument("--seeds", type=int, help="seeds per size")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateSpectrumError, DomainError
-from .spectra import haar_orthogonal, make_covariance
+from .spectra import CovarianceModel, make_covariance
 from .ensemble import (
+    NoiseLaw,
     equal_split_labels,
     make_noise_law,
     parallel_map,
@@ -200,25 +201,7 @@ class ExperimentReport:
         return header, rows
 
 
-def _sigma_sqrt_fixed(recipe: str, m: int):
-    """Square root of the deterministic covariance recipes (None = identity);
-    the haar recipe is redrawn per replication instead."""
-    if recipe == "identity":
-        return None
-    if recipe == "toeplitz":
-        return make_covariance("toeplitz", m, rho=0.1).sqrt_factor
-    if recipe == "haar":
-        return "per-rep"
-    raise ConfigError(f"unknown covariance recipe {recipe!r} for experiments")
-
-
-def _haar_sqrt(m, rng):
-    spectrum = rng.uniform(1.0, 1.5, size=m)
-    basis = haar_orthogonal(m, rng)
-    return (basis * np.sqrt(spectrum)) @ basis.T
-
-
-def _draw_centers(k, m, rng, scale):
+def draw_centers(k, m, rng, scale):
     """Cluster centers for the power scenarios; the last center balances the
     others so the population mean is zero."""
     if k == 2:
@@ -238,25 +221,59 @@ def _draw_centers(k, m, rng, scale):
     return scale * centers
 
 
-def _run_cells(grid, reps, cv, master_seed, workers, make_signal_part):
+@dataclass(frozen=True)
+class Scenario:
+    """The M x N mixture ``S + Sigma^(1/2) X`` that ``draw_data`` draws.
+
+    ``sigma`` None redraws a Haar covariance, spectrum Unif(1, 1.5), per
+    draw.  Fixed ``centers`` (M x K) win over ``clusters`` >= 2 centres
+    redrawn per draw by ``draw_centers``; otherwise the data are pure noise.
+    """
+
+    m: int
+    n: int
+    law: NoiseLaw
+    sigma: CovarianceModel | None
+    clusters: int = 0
+    center_scale: float = 1.0
+    centers: np.ndarray | None = None
+
+
+def draw_data(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
+    """One draw of the scenario's data matrix (columns are observations).
+
+    Consumes ``rng`` in a fixed order: centres, then noise, then the Haar
+    covariance.
+    """
+    s = scenario
+    centers = s.centers
+    if centers is None and s.clusters >= 2:
+        centers = draw_centers(s.clusters, s.m, rng, s.center_scale)
+    noise = s.law.sample(rng, (s.m, s.n))
+    sigma = s.sigma
+    if sigma is None:
+        sigma = make_covariance("haar", s.m, seed=rng, bounds=(1.0, 1.5))
+    data = sigma.sqrt_matmat(noise)
+    if centers is not None:
+        data += centers[:, equal_split_labels(s.n, centers.shape[1])]
+    return data
+
+
+def _run_cells(grid, reps, cv, master_seed, workers, clusters=0,
+               center_scale=1.0):
     rates_ds = np.empty(len(grid))
     rates_rs = np.empty(len(grid))
     for c_idx, cell in enumerate(grid):
-        law = make_noise_law(cell.law)
-        fixed_sqrt = _sigma_sqrt_fixed(cell.sigma, cell.m)
+        if cell.sigma not in SIGMA_RECIPES:
+            raise ConfigError(
+                f"unknown covariance recipe {cell.sigma!r} for experiments")
+        sigma = (None if cell.sigma == "haar"  # redrawn by every draw_data
+                 else make_covariance(cell.sigma, cell.m, rho=0.1))
+        scenario = Scenario(cell.m, cell.n, make_noise_law(cell.law), sigma,
+                            clusters, center_scale)
 
-        def one(rep, _cell=cell, _law=law, _sqrt=fixed_sqrt, _c=c_idx):
-            rng = stream(master_seed, _c, rep)
-            signal_part = make_signal_part(_cell, rng)
-            noise = _law.sample(rng, (_cell.m, _cell.n))
-            if _sqrt is None:
-                data = noise
-            elif isinstance(_sqrt, str):
-                data = _haar_sqrt(_cell.m, rng) @ noise
-            else:
-                data = _sqrt @ noise
-            if signal_part is not None:
-                data = data + signal_part
+        def one(rep, _scenario=scenario, _c=c_idx):
+            data = draw_data(_scenario, stream(master_seed, _c, rep))
             res = detect(data, cv.k_star, cv)
             return res.reject_ds, res.reject_rs
 
@@ -269,9 +286,7 @@ def _run_cells(grid, reps, cv, master_seed, workers, make_signal_part):
 def run_size_experiment(grid, reps: int, cv: CriticalValues, master_seed: int,
                         workers=None) -> ExperimentReport:
     """Null rejection rates over the scenario grid (nominal level 1 - q)."""
-    rates_ds, rates_rs = _run_cells(
-        grid, reps, cv, master_seed, workers, lambda cell, rng: None
-    )
+    rates_ds, rates_rs = _run_cells(grid, reps, cv, master_seed, workers)
     return ExperimentReport("size", tuple(grid), rates_ds, rates_rs, reps, cv,
                             master_seed)
 
@@ -286,15 +301,8 @@ def run_power_experiment(clusters: int, grid, reps: int, cv: CriticalValues,
     deterministic proportions.  ``center_scale`` multiplies all centers,
     for signal-strength sweeps.
     """
-
-    def signal_part(cell, rng):
-        centers = _draw_centers(clusters, cell.m, rng, center_scale)
-        labels = equal_split_labels(cell.n, clusters)
-        return centers[:, labels]
-
-    rates_ds, rates_rs = _run_cells(
-        grid, reps, cv, master_seed, workers, signal_part
-    )
+    rates_ds, rates_rs = _run_cells(grid, reps, cv, master_seed, workers,
+                                    clusters, center_scale)
     return ExperimentReport("power", tuple(grid), rates_ds, rates_rs, reps, cv,
                             master_seed, clusters=clusters,
                             center_scale=center_scale)

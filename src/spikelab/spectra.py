@@ -105,8 +105,6 @@ class CovarianceModel:
             return scale[:, None] * x if np.ndim(x) == 2 else scale * x
         return self.params["_sqrt"] @ x
 
-    sqrt_matvec = sqrt_matmat
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Apply Sigma to a vector."""
         if self.recipe == "identity":
@@ -155,7 +153,7 @@ def make_covariance(recipe: str, dim: int, seed=None, **params) -> CovarianceMod
     ----------
     recipe : one of identity | diagonal | toeplitz | haar | dense
     dim : matrix dimension M >= 1
-    seed : required for the haar recipe (deterministic sampling)
+    seed : required for the haar recipe: an integer or an existing Generator
     params : recipe-specific: ``entries`` (diagonal), ``rho`` (toeplitz),
         ``bounds=(a, b)`` (haar), ``matrix`` (dense)
     """
@@ -195,7 +193,8 @@ def make_covariance(recipe: str, dim: int, seed=None, **params) -> CovarianceMod
             raise DomainError("haar eigenvalue bounds must be nonnegative")
         if seed is None:
             raise ConfigError("haar recipe requires a seed")
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        rng = (seed if isinstance(seed, np.random.Generator) else
+               np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))))
         spectrum = rng.uniform(a, b, size=dim)
         basis = haar_orthogonal(dim, rng)
         order = _stable_descending_order(spectrum)

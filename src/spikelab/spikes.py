@@ -239,11 +239,6 @@ class SpikeTheory:
     def K0(self) -> int:
         return self.theta.shape[0]
 
-    @property
-    def v_vectors(self) -> np.ndarray:
-        """Right spike vectors v_k = S^T psi_k (alias of ``s_top_psi``)."""
-        return self.s_top_psi
-
 
 def asymptotic_quantities(sigma: CovarianceModel, signal: SignalModel,
                           pop: DeformedPopulation, law, N: int) -> SpikeTheory:
@@ -279,7 +274,7 @@ def asymptotic_quantities(sigma: CovarianceModel, signal: SignalModel,
                 f"spike {st!r} within 1e-10 relative of a population eigenvalue"
             )
         pi_tilde[k] = sigma.resolvent_diag(st)
-        a_vecs[k] = sigma.sqrt_matvec(psi_k)
+        a_vecs[k] = sigma.sqrt_matmat(psi_k)
         b_vecs[k] = signal.apply_t(psi_k)
         sig_psi[k] = sigma.matvec(psi_k)
         # u_k = sqrt(theta) [I + m(theta) Sigma] psi with m(theta) = -1/sigma_tilde

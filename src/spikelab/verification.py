@@ -61,21 +61,29 @@ class VerificationReport:
         return all(c["passed"] for c in self.checks.values())
 
     def to_jsonable(self) -> dict:
-        def conv(x):
-            if isinstance(x, (np.floating, np.integer)):
-                return float(x)
-            if isinstance(x, np.ndarray):
-                return x.tolist()
-            if isinstance(x, (list, tuple)):
-                return [conv(v) for v in x]
-            if isinstance(x, dict):
-                return {k: conv(v) for k, v in x.items()}
-            return x
         return {
             "all_passed": self.all_passed,
             "skipped_seeds": self.skipped_seeds,
-            "checks": conv(self.checks),
+            "checks": jsonable(self.checks),
         }
+
+
+def jsonable(x, sig=None):
+    """Plain-JSON copy of a result holding numpy values; ``sig`` rounds
+    floats to that many significant digits."""
+    if isinstance(x, dict):
+        return {k: jsonable(v, sig) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v, sig) for v in x]
+    if isinstance(x, np.ndarray):
+        return jsonable(x.tolist(), sig)
+    if isinstance(x, (np.floating, float)):
+        return float(format(float(x), f".{sig}g")) if sig else float(x)
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, np.bool_):
+        return bool(x)
+    return x
 
 
 def _identity_checks(report: VerificationReport, master_seed: int):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spikelab.cli import main
+from spikelab.cli import OutputSession, main
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -96,6 +96,29 @@ class TestCalibrateAndTest:
         assert decision["decision"]["reject_ds"] is False
 
 
+    @pytest.mark.parametrize("source", [
+        None,                                   # missing file
+        "",                                     # empty file
+        "1,2,3\n4,5\n",                         # ragged rows
+        "\n".join(",".join(["nan"] + ["1"] * 19) for _ in range(10)) + "\n",
+        "\n".join(",".join(["inf"] + ["1"] * 19) for _ in range(10)) + "\n",
+        ",".join(str(i) for i in range(8)) + "\n",  # 1x8: too few for 2K*-1
+        {"covariance": {"recipe": "identity", "dim": 5}, "samples": 50},
+    ], ids=["missing", "empty", "ragged", "nan", "inf", "one-row", "generate-5x50"])
+    def test_bad_test_data_is_config_error(self, tmp_path, capsys, source):
+        cfg = {"k_star": 4, "critical_values": {"cv_ds": 3.0251, "cv_rs": 18.992}}
+        if isinstance(source, dict):
+            cfg["generate"] = source
+        else:
+            cfg["data_csv"] = str(tmp_path / "data.csv")
+            if source is not None:
+                (tmp_path / "data.csv").write_text(source)
+        path = write_config(tmp_path, cfg)
+        assert main(["test", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+
 class TestSimulate:
     def test_csv_roundtrip_and_determinism(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -140,6 +163,40 @@ class TestReproduce:
                      "--seed", "3", "--out", out]) == 0
         text = (tmp_path / "out" / "figure2_hist.csv").read_text()
         assert text.startswith("dim,hypothesis,statistic")
+
+
+    def test_figure1_keeps_reproduce_config(self, tmp_path):
+        cfg = write_config(tmp_path, {"target": "figure1", "precision": 4})
+        out = tmp_path / "out"
+        assert main(["reproduce", "--config", cfg, "--scale", "0.002",
+                     "--seed", "3", "--out", str(out)]) == 0
+        lines = (out / "nonuniversality_hist.csv").read_text().splitlines()[1:]
+        edges = [float(x) for line in lines for x in line.split(",")[2:4]]
+        assert edges and all(x == float(format(x, ".4g")) for x in edges)
+        meta = json.loads((out / "nonuniversality_ks.json").read_text())["meta"]
+        assert meta["config"] == {"target": "figure1", "precision": 4,
+                                  "scale": 0.002, "master_seed": 3}
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory", "--reps", "5"],
+    ["verify", "--reps", "5"],
+    ["reproduce", "--reps", "5"],
+])
+def test_flag_a_subcommand_ignores_is_usage_error(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "unrecognized arguments: --reps 5" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_output_session_removes_partial_files(tmp_path):
+    with pytest.raises(RuntimeError):
+        with OutputSession(str(tmp_path)) as session:
+            session.write_json("partial.json", {})
+            raise RuntimeError("failure after a write")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestVerifyCli:

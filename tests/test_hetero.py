@@ -6,17 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikelab.errors import ConfigError, DegenerateSpectrumError, DomainError
-from spikelab.ensemble import stream
+from spikelab.ensemble import equal_split_labels, make_noise_law, stream
 from spikelab.hetero import (
+    Scenario,
     ScenarioCell,
     calibrate,
     default_grid,
     detect,
+    draw_centers,
+    draw_data,
     ds_rs_stats,
     nearest_rank_quantile,
     run_power_experiment,
     run_size_experiment,
 )
+from spikelab.spectra import haar_orthogonal, make_covariance
 
 
 class TestStatistics:
@@ -126,6 +130,35 @@ class TestDetect:
     def test_kstar_floor(self, cv):
         with pytest.raises(ConfigError):
             detect(np.ones((10, 20)), 1, cv)
+
+
+def _haar_three_clusters(m, n, rng):
+    centers = draw_centers(3, m, rng, 0.5)
+    noise = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), (m, n))
+    spectrum = rng.uniform(1.0, 1.5, size=m)
+    basis = haar_orthogonal(m, rng)
+    sqrt = (basis * np.sqrt(spectrum)) @ basis.T
+    scenario = Scenario(m, n, make_noise_law("uniform-sym"), None, 3, 0.5)
+    return scenario, sqrt @ noise + centers[:, equal_split_labels(n, 3)]
+
+
+def _fixed_two_centers(m, n, rng):
+    centers = np.zeros((m, 2))
+    centers[0] = (1.5, -1.5)
+    noise = rng.standard_normal((m, n))
+    scenario = Scenario(m, n, make_noise_law("gaussian"),
+                        make_covariance("identity", m), centers=centers)
+    return scenario, noise + centers[:, equal_split_labels(n, 2)]
+
+
+@pytest.mark.parametrize("hand_built", [_haar_three_clusters, _fixed_two_centers])
+def test_draw_data_matches_hand_built_draw(hand_built):
+    # pins the stream order (centres, noise, Haar basis) that keeps the
+    # tables and figure 2 on their streams
+    scenario, expected = hand_built(30, 61, stream(40, 2, 7))
+    data = draw_data(scenario, stream(40, 2, 7))
+    assert data.shape == (30, 61)
+    np.testing.assert_allclose(data, expected, rtol=0, atol=1e-12)
 
 
 class TestExperiments:
