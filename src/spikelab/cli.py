@@ -546,7 +546,6 @@ def _critical_values_from_cfg(cfg: dict, threads=None) -> CriticalValues:
 def cmd_test(args) -> int:
     cfg = load_config(args)
     t0 = time.time()
-    cv = _critical_values_from_cfg(cfg, cfg.get("threads"))
     if "data_csv" in cfg:
         data = _load_data_csv(cfg["data_csv"])
     elif "generate" in cfg:
@@ -561,6 +560,7 @@ def cmd_test(args) -> int:
     if min(data.shape) < 2 * cfg["k_star"] - 1:
         raise ConfigError(f"test data is {data.shape[0]}x{data.shape[1]}; K*="
                           f"{cfg['k_star']} needs {2 * cfg['k_star'] - 1} rows and columns")
+    cv = _critical_values_from_cfg(cfg, cfg.get("threads"))
     result = detect(data, cfg["k_star"], cv, center=cfg.get("center", False))
     with OutputSession(args.out) as session:
         p = session.write_json("detection.json", {

@@ -225,15 +225,15 @@ def draw_centers(k, m, rng, scale):
 class Scenario:
     """The M x N mixture ``S + Sigma^(1/2) X`` that ``draw_data`` draws.
 
-    ``sigma`` None redraws a Haar covariance, spectrum Unif(1, 1.5), per
-    draw.  Fixed ``centers`` (M x K) win over ``clusters`` >= 2 centres
-    redrawn per draw by ``draw_centers``; otherwise the data are pure noise.
+    ``sigma`` is a covariance, or the Unif(a, b) eigenvalue bounds of a Haar
+    covariance redrawn per draw.  Fixed ``centers`` (M x K) win over
+    ``clusters`` >= 2 centres redrawn per draw by ``draw_centers``; else noise.
     """
 
     m: int
     n: int
     law: NoiseLaw
-    sigma: CovarianceModel | None
+    sigma: CovarianceModel | tuple[float, float]
     clusters: int = 0
     center_scale: float = 1.0
     centers: np.ndarray | None = None
@@ -251,8 +251,8 @@ def draw_data(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
         centers = draw_centers(s.clusters, s.m, rng, s.center_scale)
     noise = s.law.sample(rng, (s.m, s.n))
     sigma = s.sigma
-    if sigma is None:
-        sigma = make_covariance("haar", s.m, seed=rng, bounds=(1.0, 1.5))
+    if isinstance(sigma, tuple):
+        sigma = make_covariance("haar", s.m, seed=rng, bounds=sigma)
     data = sigma.sqrt_matmat(noise)
     if centers is not None:
         data += centers[:, equal_split_labels(s.n, centers.shape[1])]
@@ -267,7 +267,7 @@ def _run_cells(grid, reps, cv, master_seed, workers, clusters=0,
         if cell.sigma not in SIGMA_RECIPES:
             raise ConfigError(
                 f"unknown covariance recipe {cell.sigma!r} for experiments")
-        sigma = (None if cell.sigma == "haar"  # redrawn by every draw_data
+        sigma = ((1.0, 1.5) if cell.sigma == "haar"  # redrawn by every draw_data
                  else make_covariance(cell.sigma, cell.m, rho=0.1))
         scenario = Scenario(cell.m, cell.n, make_noise_law(cell.law), sigma,
                             clusters, center_scale)

@@ -18,7 +18,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .ensemble import top_eigs
 from .spectra import CovarianceModel, esd
 from .spikes import SignalModel, SpikeTheory
 from .stieltjes import f_eval, find_w_plus, solve_m
@@ -267,7 +266,8 @@ class MasterMatrixReport:
 def sample_spikes(x: np.ndarray, sigma: CovarianceModel, signal: SignalModel,
                   k: int) -> np.ndarray:
     """Top-k sample eigenvalues: squared singular values of S + Sigma^{1/2} X."""
-    return top_eigs(signal.dense() + sigma.sqrt_matmat(x), k)
+    ytilde = signal.dense() + sigma.sqrt_matmat(x)
+    return np.linalg.svd(ytilde, compute_uv=False)[:k] ** 2
 
 
 def master_matrix_suite(x: np.ndarray, sigma: CovarianceModel,

@@ -21,6 +21,9 @@ THEORY_CFG = {
 }
 
 
+CVS = {"critical_values": {"cv_ds": 3.0251, "cv_rs": 18.992}}
+
+
 class TestTheory:
     def test_reference_report(self, tmp_path):
         cfg = write_config(tmp_path, THEORY_CFG)
@@ -96,17 +99,22 @@ class TestCalibrateAndTest:
         assert decision["decision"]["reject_ds"] is False
 
 
-    @pytest.mark.parametrize("source", [
-        None,                                   # missing file
-        "",                                     # empty file
-        "1,2,3\n4,5\n",                         # ragged rows
-        "\n".join(",".join(["nan"] + ["1"] * 19) for _ in range(10)) + "\n",
-        "\n".join(",".join(["inf"] + ["1"] * 19) for _ in range(10)) + "\n",
-        ",".join(str(i) for i in range(8)) + "\n",  # 1x8: too few for 2K*-1
-        {"covariance": {"recipe": "identity", "dim": 5}, "samples": 50},
-    ], ids=["missing", "empty", "ragged", "nan", "inf", "one-row", "generate-5x50"])
-    def test_bad_test_data_is_config_error(self, tmp_path, capsys, source):
-        cfg = {"k_star": 4, "critical_values": {"cv_ds": 3.0251, "cv_rs": 18.992}}
+    @pytest.mark.parametrize("source, cvs", [
+        (None, CVS),                                   # missing file
+        ("", CVS),                                     # empty file
+        ("1,2,3\n4,5\n", CVS),                         # ragged rows
+        ("\n".join(",".join(["nan"] + ["1"] * 19) for _ in range(10)) + "\n", CVS),
+        ("\n".join(",".join(["inf"] + ["1"] * 19) for _ in range(10)) + "\n", CVS),
+        (",".join(str(i) for i in range(8)) + "\n", CVS),  # 1x8: too few for 2K*-1
+        ({"covariance": {"recipe": "identity", "dim": 5}, "samples": 50}, CVS),
+        (None, {"calibration": {"k_star": 4, "n_star": 100, "reps": 30000}}),
+    ], ids=["missing", "empty", "ragged", "nan", "inf", "one-row", "generate-5x50",
+            "missing-uncalibrated"])
+    def test_bad_test_data_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                           source, cvs):
+        # bad data is reported before any calibration runs
+        monkeypatch.setattr("spikelab.cli.calibrate", None)
+        cfg = {"k_star": 4, **cvs}
         if isinstance(source, dict):
             cfg["generate"] = source
         else:

@@ -138,7 +138,7 @@ def _haar_three_clusters(m, n, rng):
     spectrum = rng.uniform(1.0, 1.5, size=m)
     basis = haar_orthogonal(m, rng)
     sqrt = (basis * np.sqrt(spectrum)) @ basis.T
-    scenario = Scenario(m, n, make_noise_law("uniform-sym"), None, 3, 0.5)
+    scenario = Scenario(m, n, make_noise_law("uniform-sym"), (1.0, 1.5), 3, 0.5)
     return scenario, sqrt @ noise + centers[:, equal_split_labels(n, 3)]
 
 
