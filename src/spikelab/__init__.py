@@ -39,7 +39,6 @@ from .ensemble import (
     make_noise_law,
     mixture_signal,
     run_spike_mc,
-    sample_data,
     stream,
     top_eigs,
 )
@@ -59,6 +58,7 @@ from .hetero import (
     calibrate,
     default_grid,
     detect,
+    ds_rs_from_data,
     ds_rs_stats,
     run_power_experiment,
     run_size_experiment,

@@ -39,7 +39,6 @@ from .ensemble import (
     parallel_map,
     run_spike_mc,
     stream,
-    top_eigs,
 )
 from .hetero import (
     CriticalValues,
@@ -49,7 +48,7 @@ from .hetero import (
     detect,
     draw_centers,
     draw_data,
-    ds_rs_stats,
+    ds_rs_from_data,
     run_power_experiment,
     run_size_experiment,
 )
@@ -645,9 +644,8 @@ def _figure2(session, reps, seed, cfg, t0, sig_digits):
             scenario = Scenario(m_dim, n_dim, law, sigma, centers=centers)
 
             def one(rep, _s=scenario, _mi=mi, _hi=hi):
-                data = draw_data(_s, stream(seed, _mi, _hi, rep))
-                eigs = top_eigs(data / math.sqrt(_s.n), 2 * k_star - 1)
-                return ds_rs_stats(eigs, k_star)
+                return ds_rs_from_data(draw_data(_s, stream(seed, _mi, _hi, rep)),
+                                       k_star)
 
             stats = parallel_map(one, range(reps), cfg.get("threads"))
             for stat_idx, stat_name in ((0, "DS"), (1, "RS")):

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .spectra import CovarianceModel
+from .spectra import CovarianceModel, make_covariance
 from .spikes import (
     SignalModel,
     SpikeTheory,
@@ -175,33 +175,18 @@ def make_noise_law(kind: str, atoms=None, probs=None) -> NoiseLaw:
     raise ConfigError(f"unknown noise law {kind!r}")
 
 
-def sample_data(sigma: CovarianceModel, signal: SignalModel | None,
-                law: NoiseLaw, M: int, N: int, seed):
-    """One draw of the model: returns (X, S + Sigma^{1/2} X).
-
-    X has i.i.d. entries law/sqrt(N); ``seed`` may be an integer or an
-    existing Generator.  Deterministic given a seed.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else stream(int(seed))
-    x = law.sample(rng, (M, N)) / math.sqrt(N)
-    ytilde = sigma.sqrt_matmat(x)
-    if signal is not None and signal.rank:
-        ytilde = ytilde + signal.dense()
-    return x, ytilde
-
-
 def top_eigs(ytilde: np.ndarray, r: int) -> np.ndarray:
     """Largest r eigenvalues of Ytilde Ytilde^T (squared singular values).
 
-    Uses an SVD of the rectangular matrix for accuracy near the edge; only
-    beyond min(M, N) = 1024 does it fall back to the smaller Gram matrix.
+    Takes ``eigvalsh`` of the smaller Gram matrix (Y Y^T when M <= N, else
+    Y^T Y) at every shape.  Each returned eigenvalue carries an absolute
+    error of about eps * lambda_1 (Golub & Van Loan, section 8.6): relative
+    accuracy near the top of the spectrum, but not for eigenvalues far
+    below lambda_1.
     """
     m, n = ytilde.shape
     if not 1 <= r <= min(m, n):
         raise DomainError(f"r={r} out of range for a {m}x{n} matrix")
-    if min(m, n) <= 1024:
-        svals = np.linalg.svd(ytilde, compute_uv=False)
-        return svals[:r] ** 2
     gram = ytilde @ ytilde.T if m <= n else ytilde.T @ ytilde
     vals = np.linalg.eigvalsh(gram)
     return vals[::-1][:r]
@@ -283,22 +268,23 @@ def run_spike_mc(config: SpikeMCConfig) -> SpikeSamples:
               if pop.K0 >= 1 else None)
     k0 = pop.K0
     r = config.n_top if config.n_top is not None else max(k0, 1)
+    if not k0 <= r <= min(m_dim, n_dim):
+        raise ConfigError(f"n_top={r} is outside [K0, min(M, N)] = "
+                          f"[{k0}, {min(m_dim, n_dim)}]")
     sqrt_n = math.sqrt(n_dim)
 
-    s_dense = signal.dense() if config.model == "additive" else None
-    if config.model == "multiplicative":
-        tilde = sigma.matrix() + signal.gram_m()
-        vals, vecs = np.linalg.eigh(tilde)
-        tilde_sqrt = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    # additive: S + Sigma^(1/2) X; multiplicative: (Sigma + S S^T)^(1/2) X
+    if config.model == "additive":
+        root, shift = sigma, signal.dense()
+    else:
+        root = make_covariance("dense", m_dim,
+                               matrix=sigma.matrix() + signal.gram_m())
+        shift = 0.0
 
     def one(rep):
         rng = stream(config.master_seed, rep)
         x = law.sample(rng, (m_dim, n_dim)) / sqrt_n
-        if config.model == "additive":
-            yt = s_dense + sigma.sqrt_matmat(x)
-        else:
-            yt = tilde_sqrt @ x
-        lam = top_eigs(yt, r)
+        lam = top_eigs(root.sqrt_matmat(x) + shift, r)
         fluct = sqrt_n * (lam[:k0] - theory.theta) if k0 else np.empty(0)
         if config.couple_theta and k0:
             th = (2.0 * sqrt_n * theory.theta_prime

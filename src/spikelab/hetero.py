@@ -61,6 +61,14 @@ def ds_rs_stats(eigs, k_star: int):
     return float(num / den_ds), float(num / den_rs)
 
 
+def ds_rs_from_data(data: np.ndarray, k_star: int):
+    """(DS, RS) of an M x N data matrix whose columns are observations: the
+    top 2K*-1 eigenvalues of (data / sqrt(N)) (data / sqrt(N))^T fed to
+    ``ds_rs_stats``."""
+    eigs = top_eigs(data / math.sqrt(data.shape[1]), 2 * k_star - 1)
+    return ds_rs_stats(eigs, k_star)
+
+
 @dataclass(frozen=True)
 class CriticalValues:
     """Monte-Carlo critical values of the two statistics under the null."""
@@ -85,22 +93,22 @@ def calibrate(k_star: int, n_star: int, reps: int, quantile: float = 0.95,
               master_seed: int = 0, workers=None) -> CriticalValues:
     """Calibrate critical values from a null Wishart ensemble.
 
-    Each replication draws an n* x n* matrix with i.i.d. Gaussian entries of
-    variance 1/n*, takes the top 2K*-1 eigenvalues of its Gram matrix, and
-    forms both statistics; the cutoffs are nearest-rank quantiles of the two
-    Monte-Carlo samples.  Bit-identical given (all fields, master_seed).
+    Each replication draws an n* x n* standard Gaussian matrix through
+    ``draw_data`` and forms both statistics with ``ds_rs_from_data``; the
+    cutoffs are nearest-rank quantiles of the two Monte-Carlo samples.
+    Bit-identical given (all fields, master_seed).
     """
     if reps < 100:
         raise ConfigError("calibration needs at least 100 replications")
     if k_star < 2:
         raise ConfigError("k_star must be >= 2")
-    needed = 2 * k_star - 1
+    if n_star < 2 * k_star - 1:
+        raise ConfigError(f"n_star={n_star} is below 2K*-1 = {2 * k_star - 1}")
+    null = Scenario(n_star, n_star, make_noise_law("gaussian"),
+                    make_covariance("identity", n_star))
 
     def one(rep):
-        rng = stream(master_seed, rep)
-        x = rng.standard_normal((n_star, n_star)) / math.sqrt(n_star)
-        eigs = top_eigs(x, needed)
-        return ds_rs_stats(eigs, k_star)
+        return ds_rs_from_data(draw_data(null, stream(master_seed, rep)), k_star)
 
     pairs = parallel_map(one, range(reps), workers)
     ds_vals = [p[0] for p in pairs]
@@ -126,18 +134,16 @@ def detect(data, k_star: int, cv: CriticalValues,
            center: bool = False) -> DetectionResult:
     """Run both tests on an M x N data matrix (columns are observations).
 
-    The matrix is scaled by 1/sqrt(N) and the top 2K*-1 Gram eigenvalues
-    feed the ratio statistics.  ``center`` subtracts the mean observation
-    first (off for table reproduction, which assumes centered populations).
+    The statistics come from ``ds_rs_from_data``.  ``center`` subtracts the
+    mean observation first (off for table reproduction, which assumes
+    centered populations).
     """
     if k_star < 2:
         raise ConfigError("detection requires k_star >= 2")
     data = np.asarray(data, dtype=float)
     if center:
         data = data - data.mean(axis=1, keepdims=True)
-    n = data.shape[1]
-    eigs = top_eigs(data / math.sqrt(n), 2 * k_star - 1)
-    ds, rs = ds_rs_stats(eigs, k_star)
+    ds, rs = ds_rs_from_data(data, k_star)
     return DetectionResult(ds, rs, ds >= cv.cv_ds, rs >= cv.cv_rs, k_star)
 
 

@@ -22,12 +22,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
 
-RECONSTRUCTION_RTOL = 1e-10
-
-# Recipes whose eigenbasis is a (permutation of the) canonical axes; these
-# store no dense basis and use O(M) fast paths.
-_AXIS_RECIPES = ("identity", "diagonal")
-
 
 def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an orthogonal matrix from the Haar measure.

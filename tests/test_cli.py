@@ -68,6 +68,16 @@ class TestCalibrateAndTest:
         cvs = payload["critical_values"]
         assert cvs["cv_ds"] > 0 and cvs["cv_rs"] > cvs["cv_ds"]
 
+    def test_nstar_below_2kstar_minus_1_is_config_error(self, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.setattr("spikelab.hetero.stream", None)  # no draw may run
+        out = tmp_path / "out"
+        assert main(["calibrate", "--kstar", "6", "--nstar", "10", "--reps", "100",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "n_star=10" in err and not out.exists()
+
     def test_detection_on_generated_alternative(self, tmp_path):
         cfg = write_config(tmp_path, {
             "k_star": 4,
@@ -147,6 +157,23 @@ class TestSimulate:
         header = bytes_a.decode().splitlines()[0].split(",")
         assert header[0] == "rep" and "lambda_1" in header
         assert any(c.startswith("theta_comp") for c in header)
+
+    @pytest.mark.parametrize("signal, n_top", [
+        ({"kind": "localized", "strength_sq": 5.25}, 21),  # above min(M, N)
+        ({"kind": "random-svd", "strengths": [3.0, 2.5], "seed": 1}, 1),  # below K0=2
+    ], ids=["above-min-dim", "below-K0"])
+    def test_n_top_out_of_range_is_config_error(self, tmp_path, capsys,
+                                                monkeypatch, signal, n_top):
+        monkeypatch.setattr("spikelab.ensemble.stream", None)  # no draw may run
+        cfg = write_config(tmp_path, {
+            "covariance": {"recipe": "identity", "dim": 20},
+            "signal": signal, "samples": 40, "reps": 3, "n_top": n_top,
+        })
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"n_top={n_top} is outside" in err and not out.exists()
 
 
 class TestReproduce:

@@ -18,7 +18,6 @@ from spikelab.ensemble import (
     make_noise_law,
     mixture_signal,
     run_spike_mc,
-    sample_data,
     stream,
     top_eigs,
 )
@@ -80,30 +79,6 @@ class TestNoiseLaws:
         assert np.abs(emp - vals).max() < 0.05
 
 
-class TestSampleData:
-    def test_deterministic(self):
-        sigma = make_covariance("toeplitz", 20, rho=0.1)
-        signal = SignalModel.localized(2.0, 20, 40)
-        law = make_noise_law("gaussian")
-        _, y1 = sample_data(sigma, signal, law, 20, 40, seed=5)
-        _, y2 = sample_data(sigma, signal, law, 20, 40, seed=5)
-        assert np.array_equal(y1, y2)
-
-    def test_no_signal_is_pure_noise(self):
-        sigma = make_covariance("identity", 20)
-        law = make_noise_law("gaussian")
-        x, y = sample_data(sigma, None, law, 20, 40, seed=6)
-        assert np.array_equal(y, x)
-
-    def test_column_variance_sane(self):
-        m, n = 300, 100
-        sigma = make_covariance("identity", m)
-        law = make_noise_law("uniform-sym")
-        x, _ = sample_data(sigma, None, law, m, n, seed=7)
-        col_var = (n * x**2).mean(axis=0)
-        assert np.all(np.abs(col_var - 1.0) <= 5.0 / math.sqrt(m))
-
-
 class TestTopEigs:
     def test_diagonal_case(self):
         y = np.zeros((3, 5))
@@ -111,11 +86,14 @@ class TestTopEigs:
         np.testing.assert_allclose(top_eigs(y, 2), [9.0, 4.0], atol=1e-12)
 
     def test_gram_vs_svd(self):
-        rng = stream(8)
-        y = rng.standard_normal((50, 100)) / 10.0
-        via_svd = top_eigs(y, 10)
-        via_gram = np.linalg.eigvalsh(y @ y.T)[::-1][:10]
-        np.testing.assert_allclose(via_svd, via_gram, rtol=1e-9)
+        # the squared singular values are the oracle; a tall input takes the
+        # y^T y branch.  The whole spectrum is good to about eps * lambda_1.
+        for shape in ((40, 90), (60, 60), (90, 40)):
+            y = stream(8).standard_normal(shape) / 10.0
+            svals_sq = np.linalg.svd(y, compute_uv=False) ** 2
+            np.testing.assert_allclose(top_eigs(y, 7), svals_sq[:7], rtol=1e-12)
+            np.testing.assert_allclose(top_eigs(y, min(shape)), svals_sq,
+                                       rtol=0, atol=1e-12 * svals_sq[0])
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
@@ -146,6 +124,31 @@ class TestRunSpikeMc:
         threaded = run_spike_mc(SpikeMCConfig(**kw, workers=4))
         assert np.array_equal(serial.lambdas, threaded.lambdas)
         assert np.array_equal(serial.theta_samples, threaded.theta_samples)
+
+    @pytest.mark.parametrize("model", ["additive", "multiplicative"])
+    def test_records_replay_from_their_streams(self, model):
+        # record i is the top of S + Sigma^(1/2) X (additive) or of
+        # (Sigma + S S^T)^(1/2) X (multiplicative), with X = law / sqrt(N)
+        # drawn from stream(master_seed, i)
+        m, n, seed, strengths = 30, 60, 77, [2.0, 1.5]
+        rng = stream(5)
+        left = np.linalg.qr(rng.standard_normal((m, 2)))[0]
+        right = np.linalg.qr(rng.standard_normal((n, 2)))[0]
+        law = make_noise_law("four-point")
+        out = run_spike_mc(SpikeMCConfig(
+            make_covariance("toeplitz", m, rho=0.3),
+            SignalModel.from_factors(left, strengths, right), law, reps=4,
+            master_seed=seed, model=model, n_top=3))
+        idx = np.arange(m)
+        sigma = 0.3 ** np.abs(idx[:, None] - idx[None, :])
+        s = (left * strengths) @ right.T
+        vals, vecs = np.linalg.eigh(sigma if model == "additive" else sigma + s @ s.T)
+        root = (vecs * np.sqrt(vals)) @ vecs.T
+        shift = s if model == "additive" else 0.0
+        for i, rep in enumerate(out.rep_ids):
+            x = law.sample(stream(seed, rep), (m, n)) / math.sqrt(n)
+            svals = np.linalg.svd(root @ x + shift, compute_uv=False)
+            np.testing.assert_allclose(out.lambdas[i], svals[:3] ** 2, rtol=1e-12)
 
     def test_subcritical_returns_raw_eigenvalues(self):
         sigma = make_covariance("identity", 40)
