@@ -45,6 +45,7 @@ from .ensemble import (
 from .locallaw import (
     ResolventBundle,
     build_resolvent,
+    factor_noise,
     green_rep_residual,
     g_squared_residual,
     isotropic_residual,

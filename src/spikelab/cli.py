@@ -274,6 +274,8 @@ def load_config(args) -> dict:
     for flag, key in _FLAG_KEYS.items():
         if getattr(args, flag, None) is not None:
             cfg[key] = getattr(args, flag)
+    for bad in _non_finite_fields(cfg):
+        raise ConfigError(f"config field {'/'.join(map(str, bad))}: not a finite number")
     try:
         jsonschema.validate(cfg, CONFIG_SCHEMAS[args.command])
     except jsonschema.ValidationError as exc:
@@ -282,8 +284,30 @@ def load_config(args) -> dict:
     return cfg
 
 
+def _non_finite_fields(value, path=()):
+    """Paths to the NaN and infinite floats in a config."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _non_finite_fields(item, (*path, key))
+
+
+def _float_array(value, name: str) -> np.ndarray:
+    """A config array as floats; a ragged, non-numeric or null-holding one is a
+    config error."""
+    with contextlib.suppress(TypeError, ValueError):
+        arr = np.asarray(value, dtype=float)
+        if np.isfinite(arr).all():
+            return arr
+    raise ConfigError(f"{name} is not a rectangular array of finite numbers")
+
+
 def build_covariance(spec: dict):
     params = {k: v for k, v in spec.items() if k not in ("recipe", "dim", "seed")}
+    if "matrix" in params:
+        params["matrix"] = _float_array(params["matrix"], "dense covariance matrix")
     return make_covariance(spec["recipe"], spec["dim"], seed=spec.get("seed"),
                            **params)
 
@@ -291,8 +315,12 @@ def build_covariance(spec: dict):
 def build_signal(spec: dict, m_dim: int, n_dim: int) -> SignalModel:
     kind = spec["kind"]
     if kind == "localized":
+        row, col = spec.get("row", 0), spec.get("col", 0)
+        if row >= m_dim or col >= n_dim:
+            raise ConfigError(f"localized signal entry ({row}, {col}) is outside "
+                              f"the {m_dim}x{n_dim} data matrix")
         return SignalModel.localized(math.sqrt(spec["strength_sq"]), m_dim, n_dim,
-                                     row=spec.get("row", 0), col=spec.get("col", 0))
+                                     row=row, col=col)
     if kind == "random-svd":
         rng = stream(spec["seed"], 0)
         k = len(spec["strengths"])
@@ -306,7 +334,10 @@ def build_signal(spec: dict, m_dim: int, n_dim: int) -> SignalModel:
         sig, _counts = mixture_signal(centers, "equal", n_dim)
         return sig
     if kind == "mixture-explicit":
-        centers = np.asarray(spec["centers"], dtype=float)
+        centers = _float_array(spec["centers"], "mixture-explicit centers")
+        if centers.ndim != 2 or centers.shape[0] != m_dim:
+            raise ConfigError(f"mixture-explicit centers have shape {centers.shape}; "
+                              f"expected {m_dim} rows, one per dimension")
         sig, _counts = mixture_signal(centers, spec.get("assignment", "equal"),
                                       n_dim)
         return sig

@@ -41,7 +41,8 @@ class CovarianceModel:
 
     ``eigenvalues`` are sorted non-increasing (ties keep the original index
     order).  ``basis`` is None for the axis-aligned recipes; ``diag`` holds
-    the diagonal entries in storage order for those recipes.
+    the diagonal entries in storage order for those recipes.  ``root`` is
+    the symmetric PSD square root, stored for the recipes with a basis.
     """
 
     recipe: str
@@ -49,7 +50,11 @@ class CovarianceModel:
     eigenvalues: np.ndarray
     basis: np.ndarray | None = None
     diag: np.ndarray | None = None
-    params: dict = field(default_factory=dict)
+    root: np.ndarray | None = field(init=False, default=None, repr=False)
+
+    def __post_init__(self):
+        if self.basis is not None:
+            object.__setattr__(self, "root", self.function(np.sqrt))
 
     # -- derived matrices ------------------------------------------------
 
@@ -57,36 +62,16 @@ class CovarianceModel:
     def top_eigenvalue(self) -> float:
         return float(self.eigenvalues[0])
 
-    @property
-    def eigenvectors(self) -> np.ndarray | None:
-        """Orthonormal eigenbasis matching ``eigenvalues`` order.
-
-        The identity recipe stores none (returns None); the diagonal recipe
-        materializes a permutation matrix on demand.
-        """
-        if self.recipe == "identity":
-            return None
-        if self.recipe == "diagonal":
-            order = _stable_descending_order(self.diag)
-            return np.eye(self.dim)[:, order]
-        return self.basis
+    def function(self, fn) -> np.ndarray:
+        """Dense f(Sigma) = V f(Lambda) V' for an elementwise function ``fn``
+        (diag(f(d)) for the axis recipes)."""
+        if self.basis is None:
+            return np.diag(fn(self.diag))
+        return (self.basis * fn(self.eigenvalues)) @ self.basis.T
 
     def matrix(self) -> np.ndarray:
         """Materialize Sigma as a dense array."""
-        if self.recipe == "identity":
-            return np.eye(self.dim)
-        if self.recipe == "diagonal":
-            return np.diag(self.diag)
-        return (self.basis * self.eigenvalues) @ self.basis.T
-
-    @property
-    def sqrt_factor(self) -> np.ndarray:
-        """Symmetric PSD square root of Sigma (dense, or diagonal vector)."""
-        if self.recipe == "identity":
-            return np.eye(self.dim)
-        if self.recipe == "diagonal":
-            return np.diag(np.sqrt(self.diag))
-        return self.params["_sqrt"]
+        return self.function(lambda vals: vals)
 
     # -- fast linear maps (avoid densifying the axis recipes) ------------
 
@@ -97,7 +82,7 @@ class CovarianceModel:
         if self.recipe == "diagonal":
             scale = np.sqrt(self.diag)
             return scale[:, None] * x if np.ndim(x) == 2 else scale * x
-        return self.params["_sqrt"] @ x
+        return self.root @ x
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Apply Sigma to a vector."""
@@ -126,7 +111,7 @@ def _stable_descending_order(values):
     return np.argsort(-np.asarray(values), kind="stable")
 
 
-def _from_eigh(recipe, mat, params, psd_tol=1e-8):
+def _from_eigh(recipe, mat, psd_tol=1e-8):
     vals, vecs = np.linalg.eigh(mat)
     order = _stable_descending_order(vals)
     vals, vecs = vals[order], vecs[:, order]
@@ -135,9 +120,7 @@ def _from_eigh(recipe, mat, params, psd_tol=1e-8):
             f"{recipe} covariance is not PSD: eigenvalue {vals[-1]:.6g}"
         )
     vals = np.clip(vals, 0.0, None)
-    sqrt = (vecs * np.sqrt(vals)) @ vecs.T
-    params = dict(params, _sqrt=sqrt)
-    return CovarianceModel(recipe, mat.shape[0], vals, basis=vecs, params=params)
+    return CovarianceModel(recipe, mat.shape[0], vals, basis=vecs)
 
 
 def make_covariance(recipe: str, dim: int, seed=None, **params) -> CovarianceModel:
@@ -166,10 +149,7 @@ def make_covariance(recipe: str, dim: int, seed=None, **params) -> CovarianceMod
         if entries.min() < 0:
             raise DomainError(f"negative diagonal entry {entries.min():.6e}")
         order = _stable_descending_order(entries)
-        return CovarianceModel(
-            "diagonal", dim, entries[order], diag=entries,
-            params={"entries": entries},
-        )
+        return CovarianceModel("diagonal", dim, entries[order], diag=entries)
 
     if recipe == "toeplitz":
         rho = float(params["rho"])
@@ -177,7 +157,7 @@ def make_covariance(recipe: str, dim: int, seed=None, **params) -> CovarianceMod
             raise ConfigError(f"toeplitz ratio must satisfy |rho| < 1, got {rho}")
         idx = np.arange(dim)
         mat = rho ** np.abs(idx[:, None] - idx[None, :])
-        return _from_eigh("toeplitz", mat, {"rho": rho})
+        return _from_eigh("toeplitz", mat)
 
     if recipe == "haar":
         a, b = (float(x) for x in params["bounds"])
@@ -192,12 +172,7 @@ def make_covariance(recipe: str, dim: int, seed=None, **params) -> CovarianceMod
         spectrum = rng.uniform(a, b, size=dim)
         basis = haar_orthogonal(dim, rng)
         order = _stable_descending_order(spectrum)
-        vals, vecs = spectrum[order], basis[:, order]
-        sqrt = (vecs * np.sqrt(vals)) @ vecs.T
-        return CovarianceModel(
-            "haar", dim, vals, basis=vecs,
-            params={"bounds": (a, b), "seed": seed, "_sqrt": sqrt},
-        )
+        return CovarianceModel("haar", dim, spectrum[order], basis=basis[:, order])
 
     if recipe == "dense":
         mat = np.asarray(params["matrix"], dtype=float)
@@ -205,7 +180,7 @@ def make_covariance(recipe: str, dim: int, seed=None, **params) -> CovarianceMod
             raise ConfigError(f"dense matrix must be {dim}x{dim}")
         if not np.allclose(mat, mat.T, atol=1e-12 * max(1.0, np.abs(mat).max())):
             raise DomainError("dense covariance must be symmetric")
-        return _from_eigh("dense", 0.5 * (mat + mat.T), {})
+        return _from_eigh("dense", 0.5 * (mat + mat.T))
 
     raise ConfigError(f"unknown covariance recipe {recipe!r}")
 

@@ -15,17 +15,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .spectra import esd, make_covariance
+from .spectra import make_covariance
 from .spikes import SignalModel, asymptotic_quantities, deform
 from .ensemble import make_noise_law, parallel_map, stream
 from .locallaw import (
     build_resolvent,
+    factor_noise,
     g_squared_residual,
     green_rep_residual,
     isotropic_residual,
     master_matrix_suite,
-    pi_m_matrix,
     sample_spikes,
+    solve_pi,
     two_resolvent_residuals,
 )
 
@@ -103,33 +104,33 @@ def _identity_checks(report: VerificationReport, master_seed: int):
     x = law.sample(stream(master_seed, 0, 0), (m_dim, n_dim)) / math.sqrt(n_dim)
     edge = pop.edge
     z = edge.lambda_plus + 0.8
-    bundle = build_resolvent(x, sigma, z, edge)
+    draw = factor_noise(x, sigma)
+    bundle = build_resolvent(draw, z, edge)
+    y, g, pi = draw.y, bundle.g, bundle.pi
 
     h_shift = np.zeros((m_dim + n_dim,) * 2)
-    h_shift[:m_dim, m_dim:] = math.sqrt(z) * bundle.y
-    h_shift[m_dim:, :m_dim] = math.sqrt(z) * bundle.y.T
+    h_shift[:m_dim, m_dim:] = math.sqrt(z) * y
+    h_shift[m_dim:, :m_dim] = math.sqrt(z) * y.T
     np.fill_diagonal(h_shift, -z)
     cols = [0, m_dim // 2, m_dim + n_dim // 2]
-    res = float(np.abs((h_shift @ bundle.g)[:, cols] - np.eye(m_dim + n_dim)[:, cols]).max())
+    res = float(np.abs((h_shift @ g)[:, cols] - np.eye(m_dim + n_dim)[:, cols]).max())
     report.add("resolvent_identity", res, res <= tol["resolvent_identity"],
                tol["resolvent_identity"])
 
-    off = bundle.g[:m_dim, m_dim:]
+    off = g[:m_dim, m_dim:]
     dev = max(
-        float(np.abs(off - (bundle.g[:m_dim, :m_dim] @ bundle.y) / math.sqrt(z)).max()),
-        float(np.abs(off - (bundle.y @ bundle.g[m_dim:, m_dim:]) / math.sqrt(z)).max()),
+        float(np.abs(off - (g[:m_dim, :m_dim] @ y) / math.sqrt(z)).max()),
+        float(np.abs(off - (y @ g[m_dim:, m_dim:]) / math.sqrt(z)).max()),
     )
     report.add("block_consistency", dev, dev <= tol["block_consistency"],
                tol["block_consistency"])
 
     # derivative surrogate formulas against central finite differences
-    nu = esd(sigma)
     step = 1e-5
-    from .stieltjes import solve_m
-    pm = {dz: pi_m_matrix(sigma, z + dz, solve_m(z + dz, nu, pop.phi, edge))
+    pm = {dz: solve_pi(sigma, z + dz, pop.phi, edge).pi_m
           for dz in (-step, 0.0, step)}
     fd = (pm[step] - pm[-step]) / (2 * step)
-    formula = (z * bundle.m_prime * (pm[0.0] @ sigma.matrix() @ pm[0.0])
+    formula = (z * pi.m_prime * (pm[0.0] @ sigma.matrix() @ pm[0.0])
                - pm[0.0] / z)
     scale = float(np.abs(fd).max())
     err = float(np.abs(formula - fd).max()) / scale
@@ -139,23 +140,22 @@ def _identity_checks(report: VerificationReport, master_seed: int):
     probe = np.zeros(m_dim + n_dim)
     probe[:m_dim] = vec_rng.standard_normal(m_dim)
     probe[:m_dim] /= np.linalg.norm(probe[:m_dim])
-    via_apply = bundle.pi2_apply(probe)[:m_dim]
+    via_apply = pi.pi2_apply(probe)[:m_dim]
     via_fd = (2.0 * fd + pm[0.0] / z) @ probe[:m_dim]
     err2 = float(np.abs(via_apply - via_fd).max() / max(np.abs(via_fd).max(), 1e-30))
     report.add("pi2_fd", err2, err2 <= tol["pi2_fd"], tol["pi2_fd"])
 
-    tr_m = float(np.trace(bundle.pi_m @ sigma.matrix())) / n_dim
-    err_m = abs(tr_m + (1.0 + z * bundle.m) / (z * bundle.m))
+    tr_m = float(np.trace(pi.pi_m @ sigma.matrix())) / n_dim
+    err_m = abs(tr_m + (1.0 + z * pi.m) / (z * pi.m))
     report.add("trace_identity_m", err_m, err_m <= tol["trace_identity_m"],
                tol["trace_identity_m"])
     # exact for the sampled resolvent: tr G22 - tr G11 = -(N - M) / z
-    g = bundle.g
     tr_gap = (np.trace(g[m_dim:, m_dim:]) - np.trace(g[:m_dim, :m_dim])) / n_dim
     err_n = abs(tr_gap + (n_dim - m_dim) / (n_dim * z))
     report.add("trace_identity_n", err_n, err_n <= tol["trace_identity_n"],
                tol["trace_identity_n"])
 
-    suite = master_matrix_suite(x, sigma, signal, theory)
+    suite = master_matrix_suite(draw, signal, theory)
     nr = float(suite.null_residual.max())
     report.add("null_vector", nr, nr <= tol["null_vector"], tol["null_vector"])
     qe = float(suite.quad_identity_error.max())
@@ -197,10 +197,10 @@ def _scaling_checks(report: VerificationReport, n_small: int, seeds: int,
                 _theory=theory, _edge=edge, _z1=z1, _z2=z2, _sidx=size_idx):
             rng = stream(master_seed, _sidx, seed_idx, 0)
             vrng = stream(master_seed, _sidx, seed_idx, 1)
-            x = law.sample(rng, (_m, _n)) / math.sqrt(_n)
+            draw = factor_noise(law.sample(rng, (_m, _n)) / math.sqrt(_n), _sigma)
             try:
-                b1 = build_resolvent(x, _sigma, _z1, _edge)
-                b2 = build_resolvent(x, _sigma, _z2, _edge)
+                b1 = build_resolvent(draw, _z1, _edge)
+                b2 = build_resolvent(draw, _z2, _edge)
                 iso, gsq, two = [], [], []
                 for _ in range(n_pairs):
                     u_full = vrng.standard_normal(_m + _n)
@@ -215,14 +215,13 @@ def _scaling_checks(report: VerificationReport, n_small: int, seeds: int,
                     gsq.append(g_squared_residual(b1, u_full, v_full))
                     two.extend(two_resolvent_residuals(b1, b2, u_top, v_bot).values())
                 greens, flucts = [], []
-                for draw in range(n_draws):
-                    xg = (x if draw == 0
-                          else law.sample(stream(master_seed, _sidx, seed_idx,
-                                                 2 + draw), (_m, _n))
-                          / math.sqrt(_n))
-                    lam = sample_spikes(xg, _sigma, _signal, _theory.K0)
+                for d in range(n_draws):
+                    dg = (draw if d == 0 else factor_noise(
+                        law.sample(stream(master_seed, _sidx, seed_idx, 2 + d),
+                                   (_m, _n)) / math.sqrt(_n), _sigma))
+                    lam = sample_spikes(dg, _signal, _theory.K0)
                     greens.append(float(
-                        green_rep_residual(xg, _sigma, _signal, _theory, lam)[0]
+                        green_rep_residual(dg, _signal, _theory, lam)[0]
                     ))
                     flucts.append(float(math.sqrt(_n) * (lam[0] - _theory.theta[0])))
                 return {

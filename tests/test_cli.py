@@ -226,6 +226,53 @@ def test_flag_a_subcommand_ignores_is_usage_error(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("config_text, argv, field", [
+    (json.dumps(dict(THEORY_CFG, signal={"kind": "localized", "strength_sq": math.nan})),
+     ["theory"], "signal/strength_sq"),
+    (json.dumps(dict(THEORY_CFG, tau=math.inf)), ["theory"], "tau"),
+    ('{"target": "figure2", "scale": 1e400}', ["reproduce"], "scale"),
+    (None, ["reproduce", "--figure", "2", "--scale", "inf"], "scale"),
+    (None, ["calibrate", "--kstar", "2", "--nstar", "10", "--reps", "100",
+            "--quantile", "nan"], "quantile"),
+], ids=["nan-literal", "infinity-literal", "1e400", "scale-inf", "quantile-nan"])
+def test_non_finite_number_is_config_error(tmp_path, capsys, config_text, argv, field):
+    if config_text is not None:
+        (tmp_path / "cfg.json").write_text(config_text)
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert f"config field {field}: not a finite number" in err and not out.exists()
+
+
+@pytest.mark.parametrize("covariance, signal, message", [
+    ({"recipe": "dense", "dim": 3, "matrix": [[1, 0, 0], [0, 1], [0, 0, 1]]},
+     {"kind": "localized", "strength_sq": 5.0}, "dense covariance matrix"),
+    ({"recipe": "dense", "dim": 2, "matrix": [[1, None], [None, 1]]},
+     {"kind": "localized", "strength_sq": 5.0}, "dense covariance matrix"),
+    ({"recipe": "identity", "dim": 3},
+     {"kind": "mixture-explicit", "centers": [[1, -1], [0, 0], [0]]},
+     "mixture-explicit centers is not"),
+    ({"recipe": "identity", "dim": 3},
+     {"kind": "mixture-explicit", "centers": [[1, -1], [0, 0]]}, "expected 3 rows"),
+    ({"recipe": "identity", "dim": 3},
+     {"kind": "localized", "strength_sq": 5.0, "row": 3}, "(3, 0) is outside"),
+    ({"recipe": "identity", "dim": 3},
+     {"kind": "localized", "strength_sq": 5.0, "col": 6}, "(0, 6) is outside"),
+], ids=["ragged-matrix", "null-in-matrix", "ragged-centers", "centers-rows",
+        "localized-row", "localized-col"])
+def test_misshapen_config_array_is_config_error(tmp_path, capsys, covariance, signal,
+                                                message):
+    path = write_config(tmp_path, {"covariance": covariance, "signal": signal,
+                                   "samples": 6})
+    out = tmp_path / "out"
+    assert main(["theory", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert message in err and not out.exists()
+
+
 def test_output_session_removes_partial_files(tmp_path):
     with pytest.raises(RuntimeError):
         with OutputSession(str(tmp_path)) as session:

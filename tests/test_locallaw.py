@@ -15,11 +15,15 @@ from spikelab.locallaw import (
     G_NORM_LIMIT,
     build_resolvent,
     divided_difference,
+    factor_noise,
     green_rep_residual,
     g_squared_residual,
     isotropic_residual,
     master_matrix_g,
+    master_matrix_pi,
     master_matrix_suite,
+    master_quadratic_pi2,
+    solve_pi,
     two_resolvent_residuals,
 )
 
@@ -31,7 +35,7 @@ def small_bundle(m_dim=60, n_dim=120, seed=0, recipe="identity", offset=1.0):
     sigma = make_covariance(recipe, m_dim, **kwargs)
     edge = find_w_plus(esd(sigma), m_dim / n_dim)
     x = LAW.sample(stream(seed), (m_dim, n_dim)) / math.sqrt(n_dim)
-    return build_resolvent(x, sigma, edge.lambda_plus + offset, edge), sigma
+    return build_resolvent(factor_noise(x, sigma), edge.lambda_plus + offset, edge), sigma
 
 
 class TestBuildResolvent:
@@ -41,7 +45,7 @@ class TestBuildResolvent:
         x = np.array([[0.7]])
         edge = find_w_plus(esd(sigma), 1.0)
         z = edge.lambda_plus + 1.0
-        b = build_resolvent(x, sigma, z, edge)
+        b = build_resolvent(factor_noise(x, sigma), z, edge)
         y = x[0, 0]
         det = z * z - z * y * y
         hand = np.array([[-z, -math.sqrt(z) * y], [-math.sqrt(z) * y, -z]]) / det
@@ -50,57 +54,61 @@ class TestBuildResolvent:
 
     def test_resolvent_identity_sampled(self):
         b, _sigma = small_bundle()
-        m_dim, n_dim = b.m_dim, b.n_dim
+        m_dim, n_dim = b.draw.y.shape
         h = np.zeros((m_dim + n_dim,) * 2)
-        h[:m_dim, m_dim:] = math.sqrt(b.z) * b.y
-        h[m_dim:, :m_dim] = math.sqrt(b.z) * b.y.T
+        h[:m_dim, m_dim:] = math.sqrt(b.pi.z) * b.draw.y
+        h[m_dim:, :m_dim] = math.sqrt(b.pi.z) * b.draw.y.T
         cols = [0, 17, m_dim + 5]
-        shifted = h - b.z * np.eye(m_dim + n_dim)
+        shifted = h - b.pi.z * np.eye(m_dim + n_dim)
         assert np.abs((shifted @ b.g)[:, cols]
                       - np.eye(m_dim + n_dim)[:, cols]).max() <= 1e-8
 
     def test_block_consistency(self):
         b, _sigma = small_bundle(recipe="toeplitz")
-        off = b.g[:b.m_dim, b.m_dim:]
-        sq = math.sqrt(b.z)
-        assert np.abs(off - (b.g[:b.m_dim, :b.m_dim] @ b.y) / sq).max() <= 1e-8
-        assert np.abs(off - (b.y @ b.g[b.m_dim:, b.m_dim:]) / sq).max() <= 1e-8
+        y = b.draw.y
+        m_dim = len(y)
+        off = b.g[:m_dim, m_dim:]
+        sq = math.sqrt(b.pi.z)
+        assert np.abs(off - (b.g[:m_dim, :m_dim] @ y) / sq).max() <= 1e-8
+        assert np.abs(off - (y @ b.g[m_dim:, m_dim:]) / sq).max() <= 1e-8
 
     def test_average_law(self):
         # N^{-1} tr G_N approaches m(z) at the faster averaged rate
         b, _sigma = small_bundle(m_dim=60, n_dim=60)
-        assert abs(np.trace(b.g[b.m_dim:, b.m_dim:]) / b.n_dim - b.m) <= 10.0 / b.n_dim
+        m_dim, n_dim = b.draw.y.shape
+        assert abs(np.trace(b.g[m_dim:, m_dim:]) / n_dim - b.pi.m) <= 10.0 / n_dim
 
     def test_trace_identities(self):
         b, sigma = small_bundle(recipe="toeplitz")
-        lhs_m = np.trace(b.pi_m @ sigma.matrix()) / b.n_dim
-        assert lhs_m == pytest.approx(-(1 + b.z * b.m) / (b.z * b.m), abs=1e-10)
+        lhs_m = np.trace(b.pi.pi_m @ sigma.matrix()) / b.draw.y.shape[1]
+        assert lhs_m == pytest.approx(-(1 + b.pi.z * b.pi.m) / (b.pi.z * b.pi.m), abs=1e-10)
 
     def test_margin_enforced(self):
         sigma = make_covariance("identity", 20)
         edge = find_w_plus(esd(sigma), 0.5)
         x = LAW.sample(stream(3), (20, 40)) / math.sqrt(40)
         with pytest.raises(DomainError):
-            build_resolvent(x, sigma, edge.lambda_plus + 0.01, edge)
+            build_resolvent(factor_noise(x, sigma), edge.lambda_plus + 0.01, edge)
 
 
 class TestIsotropicResidual:
     def test_opposite_blocks_surrogate_vanishes(self):
         b, _sigma = small_bundle()
+        m_dim, n_dim = b.draw.y.shape
         rng = stream(4)
-        u = np.concatenate([rng.standard_normal(b.m_dim), np.zeros(b.n_dim)])
+        u = np.concatenate([rng.standard_normal(m_dim), np.zeros(n_dim)])
         u /= np.linalg.norm(u)
-        v = np.concatenate([np.zeros(b.m_dim), rng.standard_normal(b.n_dim)])
+        v = np.concatenate([np.zeros(m_dim), rng.standard_normal(n_dim)])
         v /= np.linalg.norm(v)
-        assert np.abs(b.pi_apply(v)[:b.m_dim]).max() == 0.0
+        assert np.abs(b.pi.pi_apply(v)[:m_dim]).max() == 0.0
         assert isotropic_residual(b, u, v) == pytest.approx(abs(u @ (b.g @ v)))
 
     def test_bounded_by_norms(self):
         b, _sigma = small_bundle()
         rng = stream(5)
-        u = rng.standard_normal(b.m_dim + b.n_dim)
+        u = rng.standard_normal(sum(b.draw.y.shape))
         u /= np.linalg.norm(u)
-        pi_norm = max(np.abs(np.linalg.eigvalsh(b.pi_m)).max(), abs(b.m))
+        pi_norm = max(np.abs(np.linalg.eigvalsh(b.pi.pi_m)).max(), abs(b.pi.m))
         assert isotropic_residual(b, u, u) <= b.g_norm + pi_norm
 
 
@@ -108,33 +116,104 @@ class TestTwoResolvent:
     def test_equal_parameters_reduce_to_derivative(self):
         b, _sigma = small_bundle(seed=6)
         b2, _ = small_bundle(seed=6)
-        assert divided_difference(b, b2) == b.m_prime
+        assert divided_difference(b, b2) == b.pi.m_prime
 
     def test_divided_difference_ties_to_solver(self):
         b, sigma = small_bundle(seed=7)
         b2, _ = small_bundle(seed=7, offset=2.0)
+        m_dim, n_dim = b.draw.y.shape
         expected = m_derivative_and_divided_difference(
-            b.z, b2.z, esd(sigma), b.m_dim / b.n_dim
+            b.pi.z, b2.pi.z, esd(sigma), m_dim / n_dim
         )
         assert divided_difference(b, b2) == pytest.approx(expected, abs=1e-12)
 
     def test_residuals_small(self):
         b, _sigma = small_bundle(m_dim=100, n_dim=200, seed=8)
         b2, _ = small_bundle(m_dim=100, n_dim=200, seed=8, offset=2.0)
+        m_dim, n_dim = b.draw.y.shape
         rng = stream(9)
-        u = rng.standard_normal(b.m_dim)
+        u = rng.standard_normal(m_dim)
         u /= np.linalg.norm(u)
-        v = rng.standard_normal(b.n_dim)
+        v = rng.standard_normal(n_dim)
         v /= np.linalg.norm(v)
         res = two_resolvent_residuals(b, b2, u, v)
         assert set(res) == {"uu_M", "vv_M", "uv_M", "uu_N", "vv_N", "uv_N"}
         # pilot-calibrated ceiling: values are a few times N^{-1/2}
-        assert max(res.values()) <= 10.0 / math.sqrt(b.n_dim)
+        assert max(res.values()) <= 10.0 / math.sqrt(n_dim)
 
     def test_dimension_check(self):
         b, _sigma = small_bundle()
         with pytest.raises(DomainError):
             two_resolvent_residuals(b, b, np.ones(3), np.ones(4))
+
+
+def two_spike_model(m_dim, n_dim):
+    """Identity noise with a rank-2 supercritical signal (K0 = 2)."""
+    sigma = make_covariance("identity", m_dim)
+    rng = np.random.default_rng(12)
+    left = np.linalg.qr(rng.standard_normal((m_dim, 2)))[0]
+    right = np.linalg.qr(rng.standard_normal((n_dim, 2)))[0]
+    signal = SignalModel.from_factors(left, [2.6, 2.1], right)
+    pop = deform(sigma, signal, 0.05)
+    return sigma, signal, asymptotic_quantities(sigma, signal, pop, LAW, n_dim)
+
+
+class TestOneFactorizationPerDraw:
+    def test_consumers_add_no_eigh(self, monkeypatch):
+        # every z a draw serves (theta_k, lambda_k) reuses its one factorization
+        m_dim, n_dim = 120, 240
+        sigma, signal, theory = two_spike_model(m_dim, n_dim)
+        assert theory.K0 == 2
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: shapes.append(a.shape) or eigh(a))
+        x = LAW.sample(stream(14), (m_dim, n_dim)) / math.sqrt(n_dim)
+        draw = factor_noise(x, sigma)
+        assert shapes == [(m_dim, m_dim)]
+        green_rep_residual(draw, signal, theory)
+        master_matrix_suite(draw, signal, theory)
+        assert shapes == [(m_dim, m_dim)]
+
+
+class TestMasterMatrixFormulas:
+    @pytest.mark.parametrize("recipe, kwargs", [
+        ("identity", {}),
+        ("diagonal", {"entries": np.linspace(0.5, 2.0, 30)}),
+        ("toeplitz", {"rho": 0.3}),
+    ])
+    def test_match_block_formulas(self, recipe, kwargs):
+        # the block-by-block assembly of A_Pi and xi' B_Pi xi, with the
+        # top-left block of Pi from a dense inverse
+        m_dim, n_dim, k = 30, 60, 2
+        sigma = make_covariance(recipe, m_dim, **kwargs)
+        edge = find_w_plus(esd(sigma), m_dim / n_dim)
+        z = edge.lambda_plus + 1.3
+        pi = solve_pi(sigma, z, m_dim / n_dim, edge)
+        rng = stream(15)
+        left = np.linalg.qr(rng.standard_normal((m_dim, k)))[0]
+        right = np.linalg.qr(rng.standard_normal((n_dim, k)))[0]
+        signal = SignalModel.from_factors(left, [2.4, 1.7], right)
+        sig_mat = sigma.matrix()
+        pi_m = -np.linalg.inv(np.eye(m_dim) + pi.m * sig_mat) / z
+        scale = np.abs(pi_m).max()
+        np.testing.assert_allclose(pi.pi_m, pi_m, rtol=1e-12, atol=1e-12 * scale)
+
+        a = np.zeros((2 * k, 2 * k))
+        a[:k, :k] = math.sqrt(z) * (left.T @ pi_m @ left)
+        a[k:, k:] = math.sqrt(z) * pi.m * np.eye(k)
+        a[:k, k:] = a[k:, :k] = np.diag(1.0 / signal.svals)
+        np.testing.assert_allclose(master_matrix_pi(pi, signal), a,
+                                   rtol=1e-12, atol=1e-12 * np.abs(a).max())
+
+        xi = rng.standard_normal(2 * k)
+        top, bot = left @ xi[:k], right @ xi[k:]
+        pm_top = pi_m @ top
+        terms = (2.0 * z * pi.m_prime * float(pm_top @ sig_mat @ pm_top),
+                 -float(top @ pm_top) / z,
+                 (2.0 * pi.m_prime + pi.m / z) * float(bot @ bot))
+        assert master_quadratic_pi2(pi, signal, xi) == pytest.approx(
+            z * sum(terms), rel=1e-12, abs=1e-12 * z * sum(map(abs, terms)))
 
 
 class TestMasterMatrices:
@@ -146,7 +225,7 @@ class TestMasterMatrices:
         pop = deform(sigma, signal, 0.05)
         theory = asymptotic_quantities(sigma, signal, pop, LAW, n_dim)
         x = LAW.sample(stream(10), (m_dim, n_dim)) / math.sqrt(n_dim)
-        return x, sigma, signal, theory
+        return factor_noise(x, sigma), signal, theory
 
     def test_sample_spike_singularity(self, setup):
         report = master_matrix_suite(*setup)
@@ -177,26 +256,20 @@ class TestGreenRepresentation:
         residuals, flucts = [], []
         for rep in range(reps):
             x = LAW.sample(stream(11, rep), (m_dim, n_dim)) / math.sqrt(n_dim)
-            residuals.append(green_rep_residual(x, sigma, signal, theory)[0])
+            residuals.append(green_rep_residual(factor_noise(x, sigma), signal,
+                                                theory)[0])
             lam1 = np.linalg.svd(signal.dense() + x, compute_uv=False)[0] ** 2
             flucts.append(math.sqrt(n_dim) * (lam1 - theory.theta[0]))
         assert np.median(residuals) <= 0.25 * np.std(flucts)
 
     def test_two_spikes_pass_independently(self):
         m_dim, n_dim = 120, 240
-        sigma = make_covariance("identity", m_dim)
-        rng = np.random.default_rng(12)
-        left = np.linalg.qr(rng.standard_normal((m_dim, 2)))[0]
-        right = np.linalg.qr(rng.standard_normal((n_dim, 2)))[0]
-        signal = SignalModel.from_factors(left, [2.6, 2.1], right)
-        pop = deform(sigma, signal, 0.05)
-        theory = asymptotic_quantities(sigma, signal, pop, LAW, n_dim)
+        sigma, signal, theory = two_spike_model(m_dim, n_dim)
         assert theory.K0 == 2
         res = np.array([
-            green_rep_residual(
-                LAW.sample(stream(13, rep), (m_dim, n_dim)) / math.sqrt(n_dim),
-                sigma, signal, theory,
-            )
+            green_rep_residual(factor_noise(
+                LAW.sample(stream(13, rep), (m_dim, n_dim)) / math.sqrt(n_dim), sigma,
+            ), signal, theory)
             for rep in range(40)
         ])
         fluct_scale = math.sqrt(theory.gauss_cov.max()
@@ -218,11 +291,11 @@ SHAPES = {
 
 def dense_oracle(b):
     """inv(H(z) - z) built from the bundle's y, independently of g_apply."""
-    m_dim, n_dim = b.m_dim, b.n_dim
+    m_dim, n_dim = b.draw.y.shape
     h = np.zeros((m_dim + n_dim,) * 2)
-    h[:m_dim, m_dim:] = math.sqrt(b.z) * b.y
-    h[m_dim:, :m_dim] = math.sqrt(b.z) * b.y.T
-    return np.linalg.inv(h - b.z * np.eye(m_dim + n_dim))
+    h[:m_dim, m_dim:] = math.sqrt(b.pi.z) * b.draw.y
+    h[m_dim:, :m_dim] = math.sqrt(b.pi.z) * b.draw.y.T
+    return np.linalg.inv(h - b.pi.z * np.eye(m_dim + n_dim))
 
 
 class TestSpectralResolvent:
@@ -240,7 +313,7 @@ class TestSpectralResolvent:
         rng = stream(seed)
         x = rng.standard_normal((m_dim, n_dim)) / math.sqrt(n_dim)
         try:
-            b = build_resolvent(x, sigma, edge.lambda_plus + offset, edge)
+            b = build_resolvent(factor_noise(x, sigma), edge.lambda_plus + offset, edge)
         except NumericalError:
             reject()
         oracle = dense_oracle(b)
@@ -254,7 +327,7 @@ class TestSpectralResolvent:
                                          rel=1e-8)
         tr_gap = (np.trace(oracle[m_dim:, m_dim:])
                   - np.trace(oracle[:m_dim, :m_dim])) / n_dim
-        assert tr_gap == pytest.approx(-(n_dim - m_dim) / (n_dim * b.z), abs=1e-10)
+        assert tr_gap == pytest.approx(-(n_dim - m_dim) / (n_dim * b.pi.z), abs=1e-10)
 
         k = data.draw(st.integers(1, min(m_dim, n_dim, 3)))
         left = np.linalg.qr(rng.standard_normal((m_dim, k)))[0]
@@ -265,7 +338,7 @@ class TestSpectralResolvent:
         frak_u[m_dim:, k:] = signal.right
         d_inv = np.zeros((2 * k, 2 * k))
         d_inv[:k, k:] = d_inv[k:, :k] = np.diag(1.0 / signal.svals)
-        expected = math.sqrt(b.z) * (frak_u.T @ oracle @ frak_u) + d_inv
+        expected = math.sqrt(b.pi.z) * (frak_u.T @ oracle @ frak_u) + d_inv
         np.testing.assert_allclose(master_matrix_g(b, signal), expected,
                                    rtol=0, atol=1e-10)
 
@@ -278,6 +351,14 @@ def planted(m_dim, n_dim, svals):
     return (left * np.asarray(svals)) @ right.T
 
 
+def forbid_factorizations(monkeypatch):
+    """Make every dense factorization raise from here on."""
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("unexpected matrix factorization")
+    for name in ("eigh", "eigvalsh", "svd", "inv"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+
+
 class TestBuildResolventGuards:
     M_DIM, N_DIM = 4, 8
 
@@ -286,24 +367,27 @@ class TestBuildResolventGuards:
         return sigma, find_w_plus(esd(sigma), self.M_DIM / self.N_DIM)
 
     @pytest.mark.parametrize("factor, raises", [(1.0 + 1e-6, True), (1.0 - 1e-6, False)])
-    def test_norm_limit(self, factor, raises):
+    def test_norm_limit(self, factor, raises, monkeypatch):
         # a singular value s with sqrt(z) s - z = -d puts ||G|| at exactly 1/d
         sigma, edge = self.sigma_and_edge()
         z = edge.lambda_plus + 1.0
         target = G_NORM_LIMIT * factor
         s_near = math.sqrt(z) - 1.0 / (target * math.sqrt(z))
-        x = planted(self.M_DIM, self.N_DIM, [s_near, 0.5, 0.4, 0.3])
+        draw = factor_noise(planted(self.M_DIM, self.N_DIM, [s_near, 0.5, 0.4, 0.3]),
+                            sigma)
+        forbid_factorizations(monkeypatch)
         if raises:
             with pytest.raises(NumericalError):
-                build_resolvent(x, sigma, z, edge)
+                build_resolvent(draw, z, edge)
         else:
-            b = build_resolvent(x, sigma, z, edge)
+            b = build_resolvent(draw, z, edge)
             assert b.g_norm == pytest.approx(target, rel=1e-9)
 
-    def test_edge_margin(self):
+    def test_edge_margin(self, monkeypatch):
         sigma, edge = self.sigma_and_edge()
-        x = planted(self.M_DIM, self.N_DIM, [0.5] * self.M_DIM)
+        draw = factor_noise(planted(self.M_DIM, self.N_DIM, [0.5] * self.M_DIM), sigma)
+        forbid_factorizations(monkeypatch)
         z_min = edge.lambda_plus + EDGE_MARGIN
-        assert build_resolvent(x, sigma, z_min, edge).z == z_min
+        assert build_resolvent(draw, z_min, edge).pi.z == z_min
         with pytest.raises(DomainError):
-            build_resolvent(x, sigma, z_min - 1e-9, edge)
+            build_resolvent(draw, z_min - 1e-9, edge)

@@ -28,7 +28,7 @@ class TestMakeCovariance:
     def test_identity(self):
         cov = make_covariance("identity", 200)
         assert np.all(cov.eigenvalues == 1.0)
-        assert np.array_equal(cov.sqrt_factor, np.eye(200))
+        assert np.array_equal(cov.function(np.sqrt), np.eye(200))
 
     def test_toeplitz_matrix_entries(self):
         cov = make_covariance("toeplitz", 3, rho=0.1)
@@ -43,7 +43,7 @@ class TestMakeCovariance:
     def test_haar_rotated(self):
         cov = make_covariance("haar", 50, seed=11, bounds=(1.0, 1.5))
         assert cov.eigenvalues.min() >= 1.0 and cov.eigenvalues.max() <= 1.5
-        basis = cov.eigenvectors
+        basis = cov.basis
         assert np.abs(basis.T @ basis - np.eye(50)).max() < 1e-10
 
     def test_haar_column_statistics(self):
@@ -61,11 +61,15 @@ class TestMakeCovariance:
     ])
     def test_reconstruction(self, recipe, kwargs):
         cov = make_covariance(recipe, 40, **kwargs)
-        basis = cov.eigenvectors
-        rebuilt = (basis * cov.eigenvalues) @ basis.T
         top = cov.eigenvalues[0]
-        assert np.abs(rebuilt - cov.matrix()).max() <= 1e-9 * top
-        assert np.abs(cov.sqrt_factor @ cov.sqrt_factor - cov.matrix()).max() <= 1e-10 * top
+        np.testing.assert_allclose(np.linalg.eigvalsh(cov.matrix())[::-1],
+                                   cov.eigenvalues, rtol=0, atol=1e-12 * top)
+        if cov.basis is not None:
+            rebuilt = (cov.basis * cov.eigenvalues) @ cov.basis.T
+            assert np.abs(rebuilt - cov.matrix()).max() <= 1e-9 * top
+            assert np.array_equal(cov.root, cov.function(np.sqrt))
+        root = cov.function(np.sqrt)
+        assert np.abs(root @ root - cov.matrix()).max() <= 1e-10 * top
 
     def test_dense_non_psd_rejected(self):
         mat = np.diag([1.0, -0.5])
@@ -76,7 +80,47 @@ class TestMakeCovariance:
         a = make_covariance("haar", 30, seed=9, bounds=(1.0, 2.0))
         b = make_covariance("haar", 30, seed=9, bounds=(1.0, 2.0))
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        assert np.array_equal(a.sqrt_factor, b.sqrt_factor)
+        assert np.array_equal(a.root, b.root)
+
+
+# recipe -> strategy for its make_covariance keyword arguments at a given dim;
+# every spectrum stays inside [0.1, 3] so f(Sigma) is well conditioned
+RECIPE_PARAMS = {
+    "identity": lambda dim: st.just({}),
+    "diagonal": lambda dim: st.lists(st.floats(0.1, 3.0), min_size=dim,
+                                     max_size=dim).map(lambda e: {"entries": e}),
+    "toeplitz": lambda dim: st.floats(-0.8, 0.8).map(lambda r: {"rho": r}),
+    "haar": lambda dim: st.builds(lambda a, b, seed: {"bounds": (a, b), "seed": seed},
+                                  st.floats(0.1, 1.5), st.floats(1.5, 3.0),
+                                  st.integers(0, 2**16)),
+    "dense": lambda dim: st.integers(0, 2**16).map(lambda s: {"matrix": dense_psd(dim, s)}),
+}
+
+FUNCTIONS = {
+    "sqrt": np.sqrt,
+    "resolvent": lambda v: -1.0 / (1.7 * (1.0 - 0.3 * v)),
+    "square": np.square,
+    "log": np.log,
+}
+
+
+def dense_psd(dim, seed):
+    a = np.random.default_rng(seed).standard_normal((dim, dim))
+    return 0.2 * (a @ a.T) / dim + 0.1 * np.eye(dim)
+
+
+class TestFunction:
+    @pytest.mark.parametrize("recipe", sorted(RECIPE_PARAMS))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_eigh_oracle(self, recipe, data):
+        dim = data.draw(st.integers(1, 12))
+        cov = make_covariance(recipe, dim, **data.draw(RECIPE_PARAMS[recipe](dim)))
+        fn = FUNCTIONS[data.draw(st.sampled_from(sorted(FUNCTIONS)))]
+        vals, vecs = np.linalg.eigh(cov.matrix())
+        expected = (vecs * fn(vals)) @ vecs.T
+        np.testing.assert_allclose(cov.function(fn), expected, rtol=0,
+                                   atol=1e-10 * max(np.abs(expected).max(), 1.0))
 
 
 class TestEsd:

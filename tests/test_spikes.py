@@ -19,7 +19,7 @@ from spikelab.spikes import (
     theta_component_cf,
 )
 from spikelab.ensemble import make_noise_law
-from spikelab.locallaw import master_matrix_pi
+from spikelab.locallaw import master_matrix_pi, solve_pi
 
 M, N, D2 = 200, 400, 5.25
 GAUSS = make_noise_law("gaussian")
@@ -168,8 +168,9 @@ class TestAsymptoticQuantities:
         sigma, signal, _pop = localized_setup
         th = theory_for("gaussian")
         for k in range(th.K0):
-            a_pi = master_matrix_pi(sigma, signal, float(th.theta[k]),
-                                    -1.0 / float(th.sigma_tilde[k]))
+            pi = solve_pi(sigma, float(th.theta[k]), th.phi, th.edge,
+                          m=-1.0 / float(th.sigma_tilde[k]))
+            a_pi = master_matrix_pi(pi, signal)
             xi = th.xi[k]
             assert np.linalg.norm(a_pi @ xi) <= 1e-8 * np.linalg.norm(xi)
 
