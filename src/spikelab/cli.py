@@ -239,6 +239,10 @@ CONFIG_SCHEMAS = {
     },
 }
 
+# built once: the test suite checks the schemas, not every load
+_VALIDATORS = {command: jsonschema.validators.validator_for(schema)(schema)
+               for command, schema in CONFIG_SCHEMAS.items()}
+
 _BASE_REPS = {"table1": 10000, "table2": 10000, "table3": 10000,
               "table4": 10000, "figure1": 5000, "figure2": 5000}
 _DEFAULT_CALIBRATION = {"k_star": 4, "n_star": 100, "reps": 30000,
@@ -276,11 +280,10 @@ def load_config(args) -> dict:
             cfg[key] = getattr(args, flag)
     for bad in _non_finite_fields(cfg):
         raise ConfigError(f"config field {'/'.join(map(str, bad))}: not a finite number")
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMAS[args.command])
-    except jsonschema.ValidationError as exc:
-        loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field {loc}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATORS[args.command].iter_errors(cfg))
+    if error is not None:
+        loc = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config field {loc}: {error.message}") from error
     return cfg
 
 

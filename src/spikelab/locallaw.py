@@ -55,35 +55,37 @@ def factor_noise(x: np.ndarray, sigma: CovarianceModel) -> NoiseDraw:
 class Pi:
     """Deterministic equivalent Pi(z) of the linearized resolvent at real z.
 
-    Block diagonal: ``pi_m`` is the dense top-left block
-    -(1/z)(I + m Sigma)^{-1}; the bottom-right block m I is applied
-    implicitly.  ``m_prime`` is m'(z), which enters Pi_2 = 2 Pi' + Pi/z.
+    Block diagonal: the top-left block -(1/z)(I + m Sigma)^{-1} is applied
+    through Sigma's spectral form, the bottom-right block m I directly.
+    ``m_prime`` is m'(z), which enters Pi_2 = 2 Pi' + Pi/z.
     """
 
     z: float
     m: float
     m_prime: float
-    pi_m: np.ndarray
     sigma: CovarianceModel
+
+    def _top(self, s):
+        return -1.0 / (self.z * (1.0 + self.m * s))
+
+    @cached_property
+    def pi_m(self) -> np.ndarray:
+        """Dense top-left block, for exact-identity checks only."""
+        return self.sigma.function(self._top)
 
     def pi_apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply Pi(z) to a vector or to a block of columns."""
-        m_dim = self.pi_m.shape[0]
-        out = np.empty_like(vec)
-        out[:m_dim] = self.pi_m @ vec[:m_dim]
-        out[m_dim:] = self.m * vec[m_dim:]
-        return out
+        top, bot = vec[: self.sigma.dim], vec[self.sigma.dim:]
+        return np.concatenate([self.sigma.apply(self._top, top), self.m * bot])
 
     def pi2_apply(self, vec: np.ndarray) -> np.ndarray:
-        """Apply Pi_2 = 2 Pi' + Pi/z, the surrogate for G^2, to a vector."""
-        m_dim = self.pi_m.shape[0]
-        top = vec[:m_dim]
-        sig_part = self.sigma.matvec(self.pi_m @ top)
-        out = np.empty_like(vec)
-        out[:m_dim] = (2.0 * self.z * self.m_prime * (self.pi_m @ sig_part)
-                       - (self.pi_m @ top) / self.z)
-        out[m_dim:] = (2.0 * self.m_prime + self.m / self.z) * vec[m_dim:]
-        return out
+        """Apply Pi_2 = 2 Pi' + Pi/z, the surrogate for G^2."""
+        sigma, z, m_prime = self.sigma, self.z, self.m_prime
+        top, bot = vec[: sigma.dim], vec[sigma.dim:]
+        pi_top = sigma.apply(self._top, top)
+        return np.concatenate([
+            2.0 * z * m_prime * sigma.apply(self._top, sigma.matvec(pi_top)) - pi_top / z,
+            (2.0 * m_prime + self.m / z) * bot])
 
 
 def solve_pi(sigma: CovarianceModel, z: float, phi: float, edge: EdgeData,
@@ -94,8 +96,7 @@ def solve_pi(sigma: CovarianceModel, z: float, phi: float, edge: EdgeData,
     if m is None:
         m = solve_m(z, nu, phi, edge)
     m_prime = 1.0 / f_eval(m, nu, phi)[1]
-    pi_m = sigma.function(lambda s: -1.0 / (z * (1.0 + m * s)))
-    return Pi(z, m, m_prime, pi_m, sigma)
+    return Pi(z, m, m_prime, sigma)
 
 
 @dataclass(frozen=True)

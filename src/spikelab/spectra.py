@@ -1,9 +1,11 @@
 """Population covariance models and their spectral data.
 
-Everything downstream (edge finding, spike limits, Monte Carlo) consumes a
-covariance only through the eigendata produced here: sorted eigenvalues, an
-orthonormal basis where one is materialized, and the symmetric PSD square
-root.  Supported recipes:
+A covariance is held in one spectral form, Sigma = V diag(values) V', where
+the axis-aligned recipes store no basis V.  Everything downstream reads it
+through that form: the sorted eigenvalues (edge finding, spike limits) and
+elementwise functions f(Sigma), either dense (``function``), applied to a
+vector or a block of columns (``apply``: Sigma, Sigma^{1/2} X, the local-law
+Pi(z)) or as a diagonal (``diagonal``).  Supported recipes:
 
   identity        Sigma = I
   diagonal        explicit diagonal entries
@@ -15,8 +17,9 @@ root.  Supported recipes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -37,73 +40,64 @@ def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """Population noise covariance with its spectral data.
+    """Population noise covariance Sigma = V diag(values) V'.
 
-    ``eigenvalues`` are sorted non-increasing (ties keep the original index
-    order).  ``basis`` is None for the axis-aligned recipes; ``diag`` holds
-    the diagonal entries in storage order for those recipes.  ``root`` is
-    the symmetric PSD square root, stored for the recipes with a basis.
+    ``basis`` (V) is None for the axis-aligned recipes, whose ``values`` are
+    the diagonal entries in storage order; otherwise ``values`` are the
+    eigenvalues belonging to V's columns.  Every map below is an elementwise
+    function of ``values`` carried through V where there is one.
     """
 
     recipe: str
-    dim: int
-    eigenvalues: np.ndarray
+    values: np.ndarray
     basis: np.ndarray | None = None
-    diag: np.ndarray | None = None
-    root: np.ndarray | None = field(init=False, default=None, repr=False)
-
-    def __post_init__(self):
-        if self.basis is not None:
-            object.__setattr__(self, "root", self.function(np.sqrt))
-
-    # -- derived matrices ------------------------------------------------
 
     @property
-    def top_eigenvalue(self) -> float:
-        return float(self.eigenvalues[0])
+    def dim(self) -> int:
+        return len(self.values)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues sorted non-increasing (ties keep the storage order)."""
+        return self.values[_stable_descending_order(self.values)]
 
     def function(self, fn) -> np.ndarray:
-        """Dense f(Sigma) = V f(Lambda) V' for an elementwise function ``fn``
-        (diag(f(d)) for the axis recipes)."""
+        """Dense f(Sigma) = V f(Lambda) V' for an elementwise function ``fn``."""
         if self.basis is None:
-            return np.diag(fn(self.diag))
-        return (self.basis * fn(self.eigenvalues)) @ self.basis.T
+            return np.diag(fn(self.values))
+        return (self.basis * fn(self.values)) @ self.basis.T
+
+    def apply(self, fn, x: np.ndarray) -> np.ndarray:
+        """f(Sigma) x for a vector or a block of columns, without densifying."""
+        vals = fn(self.values)
+        if self.basis is None:
+            return vals[:, None] * x if np.ndim(x) == 2 else vals * x
+        return (self.basis * vals) @ (self.basis.T @ x)
+
+    def diagonal(self, fn) -> np.ndarray:
+        """Diagonal of f(Sigma) in storage order."""
+        if self.basis is None:
+            return fn(self.values)
+        return self.basis**2 @ fn(self.values)
 
     def matrix(self) -> np.ndarray:
         """Materialize Sigma as a dense array."""
         return self.function(lambda vals: vals)
 
-    # -- fast linear maps (avoid densifying the axis recipes) ------------
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """Apply Sigma to a vector or a block of columns."""
+        return self.apply(lambda vals: vals, v)
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """The symmetric PSD square root, built on first use."""
+        return self.function(np.sqrt)
 
     def sqrt_matmat(self, x: np.ndarray) -> np.ndarray:
-        """Apply Sigma^{1/2} to a vector or a stack of columns."""
-        if self.recipe == "identity":
-            return np.asarray(x, dtype=float).copy()
-        if self.recipe == "diagonal":
-            scale = np.sqrt(self.diag)
-            return scale[:, None] * x if np.ndim(x) == 2 else scale * x
+        """Apply Sigma^{1/2} to a vector or a block of columns."""
+        if self.basis is None:
+            return self.apply(np.sqrt, x)
         return self.root @ x
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Apply Sigma to a vector."""
-        if self.recipe == "identity":
-            return np.asarray(v, dtype=float).copy()
-        if self.recipe == "diagonal":
-            return self.diag * v
-        return (self.basis * self.eigenvalues) @ (self.basis.T @ v)
-
-    def resolvent_diag(self, shift: float) -> np.ndarray:
-        """Diagonal of Sigma (shift - Sigma)^{-1}, entrywise in storage order.
-
-        Requires ``shift`` strictly above the spectrum; callers guard the
-        near-pole case.
-        """
-        if self.recipe == "identity":
-            return np.full(self.dim, 1.0 / (shift - 1.0))
-        if self.recipe == "diagonal":
-            return self.diag / (shift - self.diag)
-        weights = self.basis**2
-        return weights @ (self.eigenvalues / (shift - self.eigenvalues))
 
 
 def _stable_descending_order(values):
@@ -120,7 +114,7 @@ def _from_eigh(recipe, mat, psd_tol=1e-8):
             f"{recipe} covariance is not PSD: eigenvalue {vals[-1]:.6g}"
         )
     vals = np.clip(vals, 0.0, None)
-    return CovarianceModel(recipe, mat.shape[0], vals, basis=vecs)
+    return CovarianceModel(recipe, vals, basis=vecs)
 
 
 def make_covariance(recipe: str, dim: int, seed=None, **params) -> CovarianceModel:
@@ -138,9 +132,7 @@ def make_covariance(recipe: str, dim: int, seed=None, **params) -> CovarianceMod
         raise ConfigError(f"dimension must be >= 1, got {dim}")
 
     if recipe == "identity":
-        return CovarianceModel(
-            "identity", dim, np.ones(dim), diag=np.ones(dim)
-        )
+        return CovarianceModel("identity", np.ones(dim))
 
     if recipe == "diagonal":
         entries = np.asarray(params["entries"], dtype=float)
@@ -148,8 +140,7 @@ def make_covariance(recipe: str, dim: int, seed=None, **params) -> CovarianceMod
             raise ConfigError("diagonal entries must have length dim")
         if entries.min() < 0:
             raise DomainError(f"negative diagonal entry {entries.min():.6e}")
-        order = _stable_descending_order(entries)
-        return CovarianceModel("diagonal", dim, entries[order], diag=entries)
+        return CovarianceModel("diagonal", entries)
 
     if recipe == "toeplitz":
         rho = float(params["rho"])
@@ -172,7 +163,7 @@ def make_covariance(recipe: str, dim: int, seed=None, **params) -> CovarianceMod
         spectrum = rng.uniform(a, b, size=dim)
         basis = haar_orthogonal(dim, rng)
         order = _stable_descending_order(spectrum)
-        return CovarianceModel("haar", dim, spectrum[order], basis=basis[:, order])
+        return CovarianceModel("haar", spectrum[order], basis=basis[:, order])
 
     if recipe == "dense":
         mat = np.asarray(params["matrix"], dtype=float)
@@ -277,7 +268,7 @@ def check_assumptions(model: CovarianceModel, N: int, tau: float) -> AssumptionR
     aspect = AssumptionCheck(
         tau <= phi <= 1.0 / tau, min(phi - tau, 1.0 / tau - phi)
     )
-    sigma1 = model.top_eigenvalue
+    sigma1 = float(model.eigenvalues[0])
     norm = AssumptionCheck(sigma1 <= 1.0 / tau, 1.0 / tau - sigma1)
 
     nu = esd(model)

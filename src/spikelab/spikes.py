@@ -273,7 +273,7 @@ def asymptotic_quantities(sigma: CovarianceModel, signal: SignalModel,
             raise NumericalError(
                 f"spike {st!r} within 1e-10 relative of a population eigenvalue"
             )
-        pi_tilde[k] = sigma.resolvent_diag(st)
+        pi_tilde[k] = sigma.diagonal(lambda s: s / (st - s))   # Sigma (st - Sigma)^{-1}
         a_vecs[k] = sigma.sqrt_matmat(psi_k)
         b_vecs[k] = signal.apply_t(psi_k)
         sig_psi[k] = sigma.matvec(psi_k)

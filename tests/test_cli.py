@@ -1,10 +1,11 @@
 import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 
-from spikelab.cli import OutputSession, main
+from spikelab.cli import CONFIG_SCHEMAS, OutputSession, main
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -279,6 +280,28 @@ def test_output_session_removes_partial_files(tmp_path):
             session.write_json("partial.json", {})
             raise RuntimeError("failure after a write")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_SCHEMAS))
+def test_config_schema_is_valid(command):
+    schema = CONFIG_SCHEMAS[command]
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(THEORY_CFG, extra_field=1),
+    dict(THEORY_CFG, samples="400"),
+    dict(THEORY_CFG, covariance={"recipe": "toeplitz", "dim": 3}),
+    {k: v for k, v in THEORY_CFG.items() if k != "samples"},
+], ids=["unknown-key", "wrong-type", "no-recipe-matches", "missing-required"])
+def test_schema_error_is_the_one_validate_reports(tmp_path, capsys, cfg):
+    with pytest.raises(jsonschema.ValidationError) as exc:
+        jsonschema.validate(cfg, CONFIG_SCHEMAS["theory"])
+    loc = "/".join(map(str, exc.value.absolute_path)) or "<root>"
+    path = write_config(tmp_path, cfg)
+    assert main(["theory", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: config field {loc}: {exc.value.message}\n")
 
 
 class TestVerifyCli:

@@ -181,10 +181,12 @@ class TestMasterMatrixFormulas:
         ("identity", {}),
         ("diagonal", {"entries": np.linspace(0.5, 2.0, 30)}),
         ("toeplitz", {"rho": 0.3}),
+        ("haar", {"seed": 4, "bounds": (0.5, 2.0)}),
     ])
     def test_match_block_formulas(self, recipe, kwargs):
-        # the block-by-block assembly of A_Pi and xi' B_Pi xi, with the
-        # top-left block of Pi from a dense inverse
+        # Pi and Pi_2 on a block of columns, and the block-by-block assembly
+        # of A_Pi and xi' B_Pi xi, with the top-left block of Pi from a dense
+        # inverse
         m_dim, n_dim, k = 30, 60, 2
         sigma = make_covariance(recipe, m_dim, **kwargs)
         edge = find_w_plus(esd(sigma), m_dim / n_dim)
@@ -198,6 +200,19 @@ class TestMasterMatrixFormulas:
         pi_m = -np.linalg.inv(np.eye(m_dim) + pi.m * sig_mat) / z
         scale = np.abs(pi_m).max()
         np.testing.assert_allclose(pi.pi_m, pi_m, rtol=1e-12, atol=1e-12 * scale)
+
+        block = rng.standard_normal((m_dim + n_dim, 3))
+        got_pi, got_pi2 = pi.pi_apply(block), pi.pi2_apply(block)
+        for j in range(block.shape[1]):
+            top, bot = block[:m_dim, j], block[m_dim:, j]
+            pm_top = pi_m @ top
+            want_pi = np.concatenate([pm_top, pi.m * bot])
+            want_pi2 = np.concatenate([
+                2.0 * z * pi.m_prime * (pi_m @ sig_mat @ pm_top) - pm_top / z,
+                (2.0 * pi.m_prime + pi.m / z) * bot])
+            for got, want in ((got_pi[:, j], want_pi), (got_pi2[:, j], want_pi2)):
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max())
 
         a = np.zeros((2 * k, 2 * k))
         a[:k, :k] = math.sqrt(z) * (left.T @ pi_m @ left)

@@ -119,8 +119,27 @@ class TestFunction:
         fn = FUNCTIONS[data.draw(st.sampled_from(sorted(FUNCTIONS)))]
         vals, vecs = np.linalg.eigh(cov.matrix())
         expected = (vecs * fn(vals)) @ vecs.T
+        scale = max(np.abs(expected).max(), 1.0)
         np.testing.assert_allclose(cov.function(fn), expected, rtol=0,
-                                   atol=1e-10 * max(np.abs(expected).max(), 1.0))
+                                   atol=1e-10 * scale)
+        np.testing.assert_allclose(cov.diagonal(fn), np.diag(cov.function(fn)),
+                                   rtol=0, atol=1e-12 * scale)
+
+        # the linear maps agree with the dense matrices on a vector, a square
+        # block and a non-square block (rows scaled, never columns)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        dense = {"apply": cov.function(fn), "matvec": cov.matrix(),
+                 "sqrt_matmat": cov.function(np.sqrt)}
+        for shape in [(dim,), (dim, dim), (dim, dim + 1)]:
+            x = rng.standard_normal(shape)
+            got = {"apply": cov.apply(fn, x), "matvec": cov.matvec(x),
+                   "sqrt_matmat": cov.sqrt_matmat(x)}
+            for name, mat in dense.items():
+                want = mat @ x
+                np.testing.assert_allclose(
+                    got[name], want, rtol=0,
+                    atol=1e-12 * dim * max(np.abs(mat).max(), 1.0) * np.abs(x).max(),
+                    err_msg=f"{name} on shape {shape}")
 
 
 class TestEsd:
