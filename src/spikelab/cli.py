@@ -135,11 +135,10 @@ _CALIBRATION_SCHEMA = {
     "additionalProperties": False,
 }
 
-_COMMON = {
-    "master_seed": {"type": "integer", "minimum": 0},
-    "precision": {"type": "integer", "minimum": 1, "maximum": 17},
-    "threads": {"type": "integer", "minimum": 1},
-}
+# shared keys; each command's schema takes only those its handler reads
+_SEED = {"master_seed": {"type": "integer", "minimum": 0}}
+_PRECISION = {"precision": {"type": "integer", "minimum": 1, "maximum": 17}}
+_THREADS = {"threads": {"type": "integer", "minimum": 1}}
 
 CONFIG_SCHEMAS = {
     "theory": {
@@ -150,7 +149,7 @@ CONFIG_SCHEMAS = {
             "noise": _NOISE_SCHEMA,
             "samples": {"type": "integer", "minimum": 1},
             "tau": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            **_COMMON,
+            **_PRECISION,
         },
         "required": ["covariance", "signal", "samples"],
         "additionalProperties": False,
@@ -167,7 +166,7 @@ CONFIG_SCHEMAS = {
             "model": {"enum": ["additive", "multiplicative"]},
             "couple_theta": {"type": "boolean"},
             "n_top": {"type": "integer", "minimum": 1},
-            **_COMMON,
+            **_SEED, **_PRECISION, **_THREADS,
         },
         "required": ["covariance", "signal", "samples", "reps"],
         "additionalProperties": False,
@@ -180,11 +179,13 @@ CONFIG_SCHEMAS = {
             "strength_sq": {"type": "number", "exclusiveMinimum": 0},
             "laws": {"type": "array", "items": {"type": "string"}, "minItems": 2},
             "reps": {"type": "integer", "minimum": 2},
-            **_COMMON,
+            **_SEED, **_PRECISION, **_THREADS,
         },
         "additionalProperties": False,
     },
-    "calibrate": _CALIBRATION_SCHEMA,
+    "calibrate": {**_CALIBRATION_SCHEMA,
+                  "properties": {**_CALIBRATION_SCHEMA["properties"],
+                                 **_SEED, **_THREADS}},
     "test": {
         "type": "object",
         "properties": {
@@ -211,7 +212,7 @@ CONFIG_SCHEMAS = {
                 "additionalProperties": False,
             },
             "center": {"type": "boolean"},
-            **_COMMON,
+            **_SEED, **_THREADS,
         },
         "required": ["k_star"],
         "additionalProperties": False,
@@ -223,7 +224,7 @@ CONFIG_SCHEMAS = {
                                 "figure1", "figure2"]},
             "scale": {"type": "number", "exclusiveMinimum": 0},
             "calibration": _CALIBRATION_SCHEMA,
-            **_COMMON,
+            **_SEED, **_PRECISION, **_THREADS,
         },
         "required": ["target"],
         "additionalProperties": False,
@@ -233,7 +234,7 @@ CONFIG_SCHEMAS = {
         "properties": {
             "samples": {"type": "integer", "minimum": 50},
             "seeds": {"type": "integer", "minimum": 2},
-            **_COMMON,
+            **_SEED, **_THREADS,
         },
         "additionalProperties": False,
     },
@@ -418,7 +419,7 @@ def cmd_theory(args) -> int:
     pop = deform(sigma, signal, tau)
     assumptions = check_assumptions(sigma, n_dim, tau)
     report = {
-        "phi": pop.phi,
+        "phi": pop.edge.phi,
         "edge": {
             "w_plus": pop.edge.w_plus,
             "lambda_plus": pop.edge.lambda_plus,

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .spectra import CovarianceModel, esd
+from .spectra import CovarianceModel
 from .spikes import SignalModel, SpikeTheory
 from .stieltjes import EdgeData, f_eval, solve_m
 
@@ -88,14 +88,13 @@ class Pi:
             (2.0 * m_prime + self.m / z) * bot])
 
 
-def solve_pi(sigma: CovarianceModel, z: float, phi: float, edge: EdgeData,
+def solve_pi(sigma: CovarianceModel, z: float, edge: EdgeData,
              m: float | None = None) -> Pi:
-    """Pi(z) with m = m(z) from the fixed-point solver, or the given ``m``
-    when the caller knows it in closed form; m' = 1 / f'(m)."""
-    nu = esd(sigma)
+    """Pi(z) with m = m(z) from the fixed-point solver on ``edge``'s bulk, or
+    the given ``m`` when the caller knows it in closed form; m' = 1 / f'(m)."""
     if m is None:
-        m = solve_m(z, nu, phi, edge)
-    m_prime = 1.0 / f_eval(m, nu, phi)[1]
+        m = solve_m(z, edge)
+    m_prime = 1.0 / f_eval(m, edge.nu, edge.phi)[1]
     return Pi(z, m, m_prime, sigma)
 
 
@@ -138,10 +137,16 @@ def build_resolvent(draw: NoiseDraw, z: float, edge: EdgeData) -> ResolventBundl
 
     No factorization happens here: the norm ||G|| = 1 / min(|sqrt(z) s - z|, z)
     over the singular values s of y comes from the draw's Gram eigenvalues.
-    Requires z >= lambda_plus + 0.05 and a conditioning guard ||G|| <= 1e3
-    (exceptional draws put an eigenvalue close to z; callers skip and record
-    those seeds).
+    Requires the draw's aspect ratio M/N to be ``edge.phi``, z >= lambda_plus
+    + 0.05 and a conditioning guard ||G|| <= 1e3 (exceptional draws put an
+    eigenvalue close to z; callers skip and record those seeds).
     """
+    m_dim, n_dim = draw.y.shape
+    if m_dim / n_dim != edge.phi:
+        raise DomainError(
+            f"draw is {m_dim}x{n_dim} (M/N = {m_dim / n_dim!r}) but the edge "
+            f"was solved at phi={edge.phi!r}"
+        )
     if z < edge.lambda_plus + EDGE_MARGIN:
         raise DomainError(
             f"z={z!r} is inside the margin band around the edge "
@@ -154,8 +159,7 @@ def build_resolvent(draw: NoiseDraw, z: float, edge: EdgeData) -> ResolventBundl
         raise NumericalError(
             f"resolvent too ill-conditioned at z={z!r}: ||G|| ~ {g_norm:.2e}"
         )
-    m_dim, n_dim = draw.y.shape
-    pi = solve_pi(draw.sigma, z, m_dim / n_dim, edge)
+    pi = solve_pi(draw.sigma, z, edge)
     return ResolventBundle(draw, pi, g_norm)
 
 
@@ -287,7 +291,7 @@ def master_matrix_suite(draw: NoiseDraw, signal: SignalModel,
         raise DomainError("master matrix suite requires K0 >= 1")
     k0 = theory.K0
     lam = sample_spikes(draw, signal, k0)
-    sigma, phi, edge = draw.sigma, theory.phi, theory.edge
+    sigma, edge = draw.sigma, theory.edge
 
     smallest, nullres, contrast, quad_err = np.empty((4, k0))
     for k in range(k0):
@@ -295,14 +299,14 @@ def master_matrix_suite(draw: NoiseDraw, signal: SignalModel,
         smallest[k] = float(np.abs(np.linalg.eigvalsh(a_g)).min())
 
         theta = float(theory.theta[k])
-        pi = solve_pi(sigma, theta, phi, edge, m=-1.0 / float(theory.sigma_tilde[k]))
+        pi = solve_pi(sigma, theta, edge, m=-1.0 / float(theory.sigma_tilde[k]))
         a_pi = master_matrix_pi(pi, signal)
         xi = theory.xi[k]
         nullres[k] = float(np.linalg.norm(a_pi @ xi) / np.linalg.norm(xi))
 
         det_at = abs(np.linalg.det(a_pi))
         dets_off = [abs(np.linalg.det(master_matrix_pi(
-            solve_pi(sigma, theta + shift, phi, edge), signal)))
+            solve_pi(sigma, theta + shift, edge), signal)))
             for shift in (-0.1, 0.1)]
         contrast[k] = min(dets_off) / max(det_at, 1e-300)
 

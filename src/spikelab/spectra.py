@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -180,8 +179,8 @@ def make_covariance(recipe: str, dim: int, seed=None, **params) -> CovarianceMod
 class SpectralDistribution:
     """Discrete spectral distribution: atoms (ascending) with weights.
 
-    ``multiplicities`` keep the exact integer counts so the total weight is
-    1 by construction (rational accumulation).
+    ``multiplicities`` keep the exact integer counts, so masses are read as
+    count ratios rather than sums of rounded weights.
     """
 
     values: np.ndarray
@@ -205,29 +204,23 @@ class SpectralDistribution:
         return float(self.values[-1])
 
     def mass_below(self, cutoff: float) -> float:
-        """nu([0, cutoff]) by exact rational accumulation when available."""
+        """nu([0, cutoff]), as a count ratio (correctly rounded) when the
+        multiplicities are known."""
         mask = self.values <= cutoff
         if self.multiplicities is not None:
             total = int(self.multiplicities.sum())
-            frac = sum(
-                Fraction(int(m), total)
-                for m, keep in zip(self.multiplicities, mask) if keep
-            )
-            return float(frac)
+            return int(self.multiplicities[mask].sum()) / total
         return math.fsum(self.weights[mask])
 
 
 def esd(model: CovarianceModel) -> SpectralDistribution:
     """Empirical spectral distribution of a covariance model.
 
-    Atoms are the distinct eigenvalues; weights are multiplicity / M,
-    accumulated as exact rationals.
+    Atoms are the distinct eigenvalues; weights are multiplicity / M, each
+    a correctly rounded quotient of two exact integers.
     """
     values, counts = np.unique(model.eigenvalues, return_counts=True)
-    weights = np.array(
-        [float(Fraction(int(c), model.dim)) for c in counts]
-    )
-    return SpectralDistribution(values, weights, multiplicities=counts)
+    return SpectralDistribution(values, counts / model.dim, multiplicities=counts)
 
 
 @dataclass(frozen=True)

@@ -133,7 +133,6 @@ class DeformedPopulation:
     K0: int
     gaps: np.ndarray
     edge: EdgeData
-    phi: float
     warnings: tuple = ()
 
 
@@ -162,8 +161,7 @@ def deform(sigma: CovarianceModel, signal: SignalModel, tau: float) -> DeformedP
     vecs = all_vecs[:, ::-1][:, :n_eigs]
     psi = _fix_signs(vecs[:, :k])
 
-    phi = m_dim / n_dim
-    edge = find_w_plus(esd(sigma), phi)
+    edge = find_w_plus(esd(sigma), m_dim / n_dim)
     threshold = edge.threshold
     k0 = int(np.sum(vals[:k] >= threshold + 2 * tau))
 
@@ -181,7 +179,7 @@ def deform(sigma: CovarianceModel, signal: SignalModel, tau: float) -> DeformedP
 
     return DeformedPopulation(
         sigma_tilde=vals, psi=psi, threshold=threshold, tau=tau, K0=k0,
-        gaps=gaps, edge=edge, phi=phi, warnings=tuple(notes),
+        gaps=gaps, edge=edge, warnings=tuple(notes),
     )
 
 
@@ -232,7 +230,6 @@ class SpikeTheory:
     kappa3: float
     kappa4: float
     N: int
-    phi: float
     edge: EdgeData
 
     @property
@@ -251,7 +248,6 @@ def asymptotic_quantities(sigma: CovarianceModel, signal: SignalModel,
     if pop.K0 < 1:
         raise DomainError("no supercritical spike: K0 = 0")
     k0 = pop.K0
-    nu = esd(sigma)
     kappa3, kappa4 = law.kappa3, law.kappa4
 
     theta = np.empty(k0)
@@ -267,7 +263,7 @@ def asymptotic_quantities(sigma: CovarianceModel, signal: SignalModel,
     for k in range(k0):
         st = float(pop.sigma_tilde[k])
         psi_k = pop.psi[:, k]
-        theta[k], theta_prime[k] = theta_map(st, nu, pop.phi, pop.edge)
+        theta[k], theta_prime[k] = theta_map(st, pop.edge)
         gapmin = np.abs(st - sigma.eigenvalues).min()
         if gapmin < 1e-10 * st:
             raise NumericalError(
@@ -329,7 +325,7 @@ def asymptotic_quantities(sigma: CovarianceModel, signal: SignalModel,
         pi_tilde=pi_tilde, sqrt_sigma_psi=a_vecs, s_top_psi=b_vecs,
         u_vectors=u_vecs, xi=xi,
         sigma_tilde=pop.sigma_tilde[:k0].copy(), psi=pop.psi[:, :k0].copy(),
-        kappa3=kappa3, kappa4=kappa4, N=N, phi=pop.phi, edge=pop.edge,
+        kappa3=kappa3, kappa4=kappa4, N=N, edge=pop.edge,
     )
 
 
@@ -362,7 +358,7 @@ def sigma_i_reduction_check(sigma: CovarianceModel, signal: SignalModel,
         raise DomainError("reduction check requires distinct signal strengths")
 
     general = asymptotic_quantities(sigma, signal, pop, law, N)
-    phi = pop.phi
+    phi = pop.edge.phi
     m_dim = sigma.dim
     u = signal.left[:, :k0]
     v = signal.right[:, :k0]

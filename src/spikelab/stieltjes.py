@@ -6,9 +6,12 @@ increasing, and invertible on (lambda_plus, inf), with inverse
 
     f(w) = -1/w + phi * sum_i p_i s_i / (1 + s_i w)
 
-over the atoms (s_i, p_i) of the population spectral distribution.  The
+over the atoms (s_i, p_i) of the population spectral distribution nu.  The
 rightmost support edge is lambda_plus = f(w_plus), where w_plus is the unique
-stationary point of f on (-1/s_max, 0).  All functions here work with
+stationary point of f on (-1/s_max, 0).  The pair (nu, phi) fixes the noise
+bulk, and ``find_w_plus`` solves it once into an ``EdgeData`` holding nu,
+phi and the edge; m(z), theta(sigma_tilde) and the divided difference of m
+read everything from that one object.  All functions here work with
 eigenvalue atoms only; no matrix inverses are formed.
 """
 
@@ -26,12 +29,14 @@ _POLE_TOL = 1e-14
 
 @dataclass(frozen=True)
 class EdgeData:
-    """Critical point and rightmost support edge of the noise spectral law."""
+    """The noise bulk: spectral distribution ``nu``, aspect ratio ``phi``,
+    and the critical point and rightmost support edge they determine."""
 
     w_plus: float
     lambda_plus: float
     f_second_at_w_plus: float
     phi: float
+    nu: SpectralDistribution
 
     @property
     def threshold(self) -> float:
@@ -126,18 +131,16 @@ def find_w_plus(nu: SpectralDistribution, phi: float, grid_size: int = 64) -> Ed
     f0, f1, f2 = f_eval(w, nu, phi)
     if abs(f1) > 1e-10 / w**2:
         raise NumericalError(f"stationary-point residual too large: f'={f1:.3e}")
-    return EdgeData(w_plus=w, lambda_plus=f0, f_second_at_w_plus=f2, phi=phi)
+    return EdgeData(w_plus=w, lambda_plus=f0, f_second_at_w_plus=f2, phi=phi, nu=nu)
 
 
-def solve_m(z: float, nu: SpectralDistribution, phi: float,
-            edge: EdgeData | None = None) -> float:
+def solve_m(z: float, edge: EdgeData) -> float:
     """Solve the fixed-point equation for m(z) at real z above the edge.
 
     Returns the unique m in (w_plus, 0) with f(m) = z; only z >= lambda_plus
     + 1e-8 is supported (no complex continuation into the bulk).
     """
-    if edge is None:
-        edge = find_w_plus(nu, phi)
+    nu, phi = edge.nu, edge.phi
     if z <= edge.lambda_plus + 1e-8:
         raise DomainError(
             f"z={z!r} is not above the spectral edge {edge.lambda_plus!r}"
@@ -171,27 +174,22 @@ def solve_m(z: float, nu: SpectralDistribution, phi: float,
     return m
 
 
-def m_derivative_and_divided_difference(
-    z_k: float, z_j: float, nu: SpectralDistribution, phi: float,
-    edge: EdgeData | None = None,
-) -> float:
+def m_derivative_and_divided_difference(z_k: float, z_j: float,
+                                        edge: EdgeData) -> float:
     """Divided difference m[z_k, z_j], equal to m'(z_k) on the diagonal.
 
     m' comes from the inverse-function rule 1 / f'(m(z)); off-diagonal the
     plain quotient (m(z_k) - m(z_j)) / (z_k - z_j) is returned.
     """
-    if edge is None:
-        edge = find_w_plus(nu, phi)
     if z_k == z_j:
-        m = solve_m(z_k, nu, phi, edge)
-        return 1.0 / f_eval(m, nu, phi)[1]
-    mk = solve_m(z_k, nu, phi, edge)
-    mj = solve_m(z_j, nu, phi, edge)
+        m = solve_m(z_k, edge)
+        return 1.0 / f_eval(m, edge.nu, edge.phi)[1]
+    mk = solve_m(z_k, edge)
+    mj = solve_m(z_j, edge)
     return (mk - mj) / (z_k - z_j)
 
 
-def theta_map(sigma_tilde: float, nu: SpectralDistribution, phi: float,
-              edge: EdgeData | None = None):
+def theta_map(sigma_tilde: float, edge: EdgeData):
     """Almost-sure spike location theta(sigma_tilde) and its derivative.
 
         theta  = sigma_tilde + phi * sum_i p_i sigma_tilde s_i / (sigma_tilde - s_i)
@@ -200,13 +198,11 @@ def theta_map(sigma_tilde: float, nu: SpectralDistribution, phi: float,
     Valid for strictly supercritical sigma_tilde > -1/w_plus; equals
     f(-1/sigma_tilde) by the inverse relation, which ties theta to the edge.
     """
-    if edge is None:
-        edge = find_w_plus(nu, phi)
     threshold = edge.threshold
     if sigma_tilde <= threshold:
         raise SubcriticalError(sigma_tilde, threshold)
 
-    s, p = nu.values, nu.weights
+    s, p, phi = edge.nu.values, edge.nu.weights, edge.phi
     gap = sigma_tilde - s
     near = np.abs(gap) < 1e-10 * sigma_tilde
     if near.any():

@@ -127,7 +127,7 @@ def _identity_checks(report: VerificationReport, master_seed: int):
 
     # derivative surrogate formulas against central finite differences
     step = 1e-5
-    pm = {dz: solve_pi(sigma, z + dz, pop.phi, edge).pi_m
+    pm = {dz: solve_pi(sigma, z + dz, edge).pi_m
           for dz in (-step, 0.0, step)}
     fd = (pm[step] - pm[-step]) / (2 * step)
     formula = (z * pi.m_prime * (pm[0.0] @ sigma.matrix() @ pm[0.0])

@@ -62,7 +62,7 @@ def test_criterion_02_theta_map_reduction():
     edge = find_w_plus(nu, phi)
     worst = 0.0
     for d2 in (2.0, 5.25, 10.0):
-        theta, theta_prime = theta_map(1.0 + d2, nu, phi, edge)
+        theta, theta_prime = theta_map(1.0 + d2, edge)
         worst = max(worst,
                     abs(theta - (1 + d2 + phi * (1 + 1 / d2))),
                     abs(theta_prime - (1 - phi / d2**2)))

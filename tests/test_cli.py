@@ -61,13 +61,26 @@ class TestTheory:
 
 class TestCalibrateAndTest:
     def test_calibrate_flags(self, tmp_path):
-        out = str(tmp_path / "out")
-        code = main(["calibrate", "--kstar", "4", "--nstar", "100",
-                     "--reps", "400", "--seed", "3", "--out", out])
-        assert code == 0
-        payload = json.loads((tmp_path / "out" / "critical_values.json").read_text())
-        cvs = payload["critical_values"]
+        runs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            code = main(["calibrate", "--kstar", "4", "--nstar", "100",
+                         "--reps", "400", "--seed", "3", "--threads", threads,
+                         "--out", str(out)])
+            assert code == 0
+            payload = json.loads((out / "critical_values.json").read_text())
+            runs[threads] = payload["critical_values"]
+        cvs = runs["1"]
         assert cvs["cv_ds"] > 0 and cvs["cv_rs"] > cvs["cv_ds"]
+        assert runs["2"] == cvs  # the worker count never moves the values
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["calibrate", "--kstar", "2", "--nstar", "10", "--reps", "100",
+                     "--seed", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config field master_seed:")
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_nstar_below_2kstar_minus_1_is_config_error(self, tmp_path, capsys,
                                                         monkeypatch):
@@ -224,6 +237,22 @@ def test_flag_a_subcommand_ignores_is_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "unrecognized arguments: --reps 5" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("theory", "master_seed"),
+    ("theory", "threads"),
+    ("test", "precision"),
+    ("verify", "precision"),
+])
+def test_config_key_a_subcommand_ignores_is_config_error(tmp_path, capsys, command, key):
+    cfg = {"theory": THEORY_CFG, "test": {"k_star": 3, **CVS}, "verify": {}}[command]
+    path = write_config(tmp_path, {**cfg, key: 3})
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert f"'{key}' was unexpected" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -90,6 +90,15 @@ class TestBuildResolvent:
         with pytest.raises(DomainError):
             build_resolvent(factor_noise(x, sigma), edge.lambda_plus + 0.01, edge)
 
+    def test_edge_at_another_phi_rejected(self):
+        # the edge fixes the bulk's aspect ratio: a 20 x 40 draw (M/N = 1/2)
+        # must not be paired with an edge solved at phi = 1/4
+        sigma = make_covariance("identity", 20)
+        edge = find_w_plus(esd(sigma), 0.25)
+        x = LAW.sample(stream(3), (20, 40)) / math.sqrt(40)
+        with pytest.raises(DomainError, match="phi"):
+            build_resolvent(factor_noise(x, sigma), edge.lambda_plus + 1.0, edge)
+
 
 class TestIsotropicResidual:
     def test_opposite_blocks_surrogate_vanishes(self):
@@ -123,7 +132,7 @@ class TestTwoResolvent:
         b2, _ = small_bundle(seed=7, offset=2.0)
         m_dim, n_dim = b.draw.y.shape
         expected = m_derivative_and_divided_difference(
-            b.pi.z, b2.pi.z, esd(sigma), m_dim / n_dim
+            b.pi.z, b2.pi.z, find_w_plus(esd(sigma), m_dim / n_dim)
         )
         assert divided_difference(b, b2) == pytest.approx(expected, abs=1e-12)
 
@@ -191,7 +200,7 @@ class TestMasterMatrixFormulas:
         sigma = make_covariance(recipe, m_dim, **kwargs)
         edge = find_w_plus(esd(sigma), m_dim / n_dim)
         z = edge.lambda_plus + 1.3
-        pi = solve_pi(sigma, z, m_dim / n_dim, edge)
+        pi = solve_pi(sigma, z, edge)
         rng = stream(15)
         left = np.linalg.qr(rng.standard_normal((m_dim, k)))[0]
         right = np.linalg.qr(rng.standard_normal((n_dim, k)))[0]

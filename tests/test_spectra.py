@@ -168,6 +168,13 @@ class TestEsd:
         total = sum(Fraction(int(m), len(entries)) for m in nu.multiplicities)
         assert total == 1
         assert abs(math.fsum(nu.weights) - 1.0) <= 1e-12
+        # weights and masses are the correctly rounded exact ratios
+        assert nu.weights.tolist() == [float(Fraction(int(m), len(entries)))
+                                       for m in nu.multiplicities]
+        for cutoff in (0.0, *nu.values):
+            exact = sum(Fraction(int(m), len(entries))
+                        for m, s in zip(nu.multiplicities, nu.values) if s <= cutoff)
+            assert nu.mass_below(cutoff) == float(exact)
 
 
 class TestAssumptions:

@@ -144,11 +144,10 @@ class TestAsymptoticQuantities:
 
     def test_spike_limit_ties_to_stieltjes(self, localized_setup, theory_for):
         # m(theta_k) = -1/sigma~_k through the solver round trip
-        from spikelab.spectra import esd
         from spikelab.stieltjes import solve_m
-        sigma, _signal, pop = localized_setup
+        _sigma, _signal, pop = localized_setup
         th = theory_for("gaussian")
-        m_val = solve_m(float(th.theta[0]), esd(sigma), pop.phi, pop.edge)
+        m_val = solve_m(float(th.theta[0]), pop.edge)
         assert m_val == pytest.approx(-1.0 / pop.sigma_tilde[0], abs=1e-10)
 
     def test_gram_identity(self):
@@ -168,7 +167,7 @@ class TestAsymptoticQuantities:
         sigma, signal, _pop = localized_setup
         th = theory_for("gaussian")
         for k in range(th.K0):
-            pi = solve_pi(sigma, float(th.theta[k]), th.phi, th.edge,
+            pi = solve_pi(sigma, float(th.theta[k]), th.edge,
                           m=-1.0 / float(th.sigma_tilde[k]))
             a_pi = master_matrix_pi(pi, signal)
             xi = th.xi[k]

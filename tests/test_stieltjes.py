@@ -89,50 +89,50 @@ class TestSolveM:
         ws = np.linspace(edge.w_plus + 1e-3, -1e-3, 50)
         for w in ws:
             z = f_eval(w, TWO_ATOM, 0.5)[0]
-            assert abs(solve_m(z, TWO_ATOM, 0.5, edge) - w) <= 1e-10
+            assert abs(solve_m(z, edge) - w) <= 1e-10
 
     def test_against_quadratic_oracle(self):
         edge = find_w_plus(ISO, 0.5)
         for z in (4.0, 5.0, 7.5, 20.0):
-            assert solve_m(z, ISO, 0.5, edge) == pytest.approx(
+            assert solve_m(z, edge) == pytest.approx(
                 mp_stieltjes(z, 0.5), abs=1e-12
             )
 
     def test_large_z_asymptotics(self):
         edge = find_w_plus(ISO, 0.5)
-        m = solve_m(1e6, ISO, 0.5, edge)
+        m = solve_m(1e6, edge)
         assert m == pytest.approx(-1e-6, rel=1e-5)
 
     def test_below_edge_rejected(self):
         edge = find_w_plus(ISO, 0.5)
         with pytest.raises(DomainError):
-            solve_m(edge.lambda_plus - 0.1, ISO, 0.5, edge)
+            solve_m(edge.lambda_plus - 0.1, edge)
 
     def test_monotone_in_z(self):
         edge = find_w_plus(TWO_ATOM, 0.7)
         zs = np.linspace(edge.lambda_plus + 0.1, edge.lambda_plus + 10, 40)
-        ms = [solve_m(z, TWO_ATOM, 0.7, edge) for z in zs]
+        ms = [solve_m(z, edge) for z in zs]
         assert np.all(np.diff(ms) > 0)
 
 
 class TestDividedDifference:
     def test_off_diagonal_matches_oracle(self):
-        got = m_derivative_and_divided_difference(4.0, 5.0, ISO, 0.5)
+        got = m_derivative_and_divided_difference(4.0, 5.0, find_w_plus(ISO, 0.5))
         expected = (mp_stieltjes(4.0, 0.5) - mp_stieltjes(5.0, 0.5)) / (4.0 - 5.0)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_diagonal_continuity(self):
-        z = 4.0
-        mprime = m_derivative_and_divided_difference(z, z, ISO, 0.5)
-        near = m_derivative_and_divided_difference(z, z + 1e-6, ISO, 0.5)
+        z, edge = 4.0, find_w_plus(ISO, 0.5)
+        mprime = m_derivative_and_divided_difference(z, z, edge)
+        near = m_derivative_and_divided_difference(z, z + 1e-6, edge)
         assert abs(near - mprime) <= 1e-4 * abs(mprime)
 
     def test_diagonal_spike_identity(self):
         # at a spike location theta, m'(theta) = 1 / (sigma~^2 theta')
         sigma_tilde = 6.25
         edge = find_w_plus(ISO, 0.5)
-        theta, theta_prime = theta_map(sigma_tilde, ISO, 0.5, edge)
-        mprime = m_derivative_and_divided_difference(theta, theta, ISO, 0.5, edge)
+        theta, theta_prime = theta_map(sigma_tilde, edge)
+        mprime = m_derivative_and_divided_difference(theta, theta, edge)
         assert mprime == pytest.approx(1.0 / (sigma_tilde**2 * theta_prime),
                                        rel=1e-10)
 
@@ -140,44 +140,44 @@ class TestDividedDifference:
 class TestThetaMap:
     def test_isotropic_closed_form(self):
         d2, phi = 5.25, 0.5
-        theta, theta_prime = theta_map(1.0 + d2, ISO, phi)
+        theta, theta_prime = theta_map(1.0 + d2, find_w_plus(ISO, phi))
         assert theta == pytest.approx(1 + d2 + phi * (1 + 1 / d2), abs=1e-12)
         assert theta_prime == pytest.approx(1 - phi / d2**2, abs=1e-12)
 
     def test_strictly_increasing(self):
         edge = find_w_plus(TWO_ATOM, 0.5)
         grid = np.linspace(edge.threshold + 0.2, edge.threshold + 8, 30)
-        thetas = [theta_map(s, TWO_ATOM, 0.5, edge)[0] for s in grid]
+        thetas = [theta_map(s, edge)[0] for s in grid]
         assert np.all(np.diff(thetas) > 0)
 
     def test_derivative_matches_finite_difference(self):
         edge = find_w_plus(TWO_ATOM, 0.5)
         s = edge.threshold + 1.7
         step = 1e-5
-        _, theta_prime = theta_map(s, TWO_ATOM, 0.5, edge)
-        fd = (theta_map(s + step, TWO_ATOM, 0.5, edge)[0]
-              - theta_map(s - step, TWO_ATOM, 0.5, edge)[0]) / (2 * step)
+        _, theta_prime = theta_map(s, edge)
+        fd = (theta_map(s + step, edge)[0]
+              - theta_map(s - step, edge)[0]) / (2 * step)
         assert theta_prime == pytest.approx(fd, rel=1e-6)
 
     def test_composition_with_f(self):
         # two independent code paths: theta(s) and f(-1/s)
         edge = find_w_plus(TWO_ATOM, 0.5)
         for s in (edge.threshold + 0.5, edge.threshold + 2.0, edge.threshold + 5.0):
-            theta, _ = theta_map(s, TWO_ATOM, 0.5, edge)
+            theta, _ = theta_map(s, edge)
             assert abs(theta - f_eval(-1.0 / s, TWO_ATOM, 0.5)[0]) <= 1e-12 * theta
 
     def test_approaches_edge_at_threshold(self):
         edge = find_w_plus(ISO, 0.5)
-        theta, _ = theta_map(edge.threshold + 1e-5, ISO, 0.5, edge)
+        theta, _ = theta_map(edge.threshold + 1e-5, edge)
         assert theta == pytest.approx(edge.lambda_plus, abs=1e-3)
 
     def test_subcritical_error_carries_threshold(self):
         edge = find_w_plus(ISO, 0.5)
         with pytest.raises(SubcriticalError) as err:
-            theta_map(edge.threshold - 0.01, ISO, 0.5, edge)
+            theta_map(edge.threshold - 0.01, edge)
         assert err.value.threshold == pytest.approx(edge.threshold)
 
     def test_large_spike_asymptotics(self):
-        theta, theta_prime = theta_map(1e8, ISO, 0.5)
+        theta, theta_prime = theta_map(1e8, find_w_plus(ISO, 0.5))
         assert theta / 1e8 == pytest.approx(1.0, rel=1e-6)
         assert theta_prime == pytest.approx(1.0, rel=1e-6)
