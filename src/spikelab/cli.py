@@ -129,7 +129,7 @@ _CALIBRATION_SCHEMA = {
         "n_star": {"type": "integer", "minimum": 10},
         "reps": {"type": "integer", "minimum": 100},
         "quantile": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "master_seed": {"type": "integer"},
+        "master_seed": {"type": "integer", "minimum": 0},
     },
     "required": ["k_star", "n_star", "reps"],
     "additionalProperties": False,
@@ -400,7 +400,7 @@ def _fmt(x, sig: int) -> str:
 def _meta(cfg: dict, t0: float) -> dict:
     from . import __version__
     return {"config": cfg, "version": __version__,
-            "wall_time_s": round(time.time() - t0, 3)}
+            "wall_time_s": round(time.perf_counter() - t0, 3)}
 
 
 # -- subcommand handlers --------------------------------------------------
@@ -408,7 +408,7 @@ def _meta(cfg: dict, t0: float) -> dict:
 
 def cmd_theory(args) -> int:
     cfg = load_config(args)
-    t0 = time.time()
+    t0 = time.perf_counter()
     sigma = build_covariance(cfg["covariance"])
     n_dim = cfg["samples"]
     signal = build_signal(cfg["signal"], sigma.dim, n_dim)
@@ -464,7 +464,7 @@ def cmd_theory(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args)
-    t0 = time.time()
+    t0 = time.perf_counter()
     sigma = build_covariance(cfg["covariance"])
     n_dim = cfg["samples"]
     signal = build_signal(cfg["signal"], sigma.dim, n_dim)
@@ -509,7 +509,7 @@ def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def cmd_nonuniversality(args) -> int:
     cfg = load_config(args)
-    t0 = time.time()
+    t0 = time.perf_counter()
     with OutputSession(args.out) as session:
         hist_path = _nonuniversality(session, cfg, cfg.get("reps", 2000), t0)
     print(hist_path)
@@ -552,7 +552,7 @@ def _nonuniversality(session, cfg, reps, t0):
 
 def cmd_calibrate(args) -> int:
     cfg = load_config(args)
-    t0 = time.time()
+    t0 = time.perf_counter()
     cv = calibrate(cfg["k_star"], cfg["n_star"], cfg["reps"],
                    cfg.get("quantile", 0.95), cfg.get("master_seed", 0),
                    workers=cfg.get("threads"))
@@ -579,7 +579,7 @@ def _critical_values_from_cfg(cfg: dict, threads=None) -> CriticalValues:
 
 def cmd_test(args) -> int:
     cfg = load_config(args)
-    t0 = time.time()
+    t0 = time.perf_counter()
     if "data_csv" in cfg:
         data = _load_data_csv(cfg["data_csv"])
     elif "generate" in cfg:
@@ -638,7 +638,7 @@ def _write_table(session, name, report, cfg, t0, sig_digits):
 
 def cmd_reproduce(args) -> int:
     cfg = load_config(args)
-    t0 = time.time()
+    t0 = time.perf_counter()
     target = cfg["target"]
     scale = cfg.get("scale", 1.0)
     seed = cfg.get("master_seed", 0)
@@ -698,7 +698,7 @@ def _figure2(session, reps, seed, cfg, t0, sig_digits):
 
 def cmd_verify(args) -> int:
     cfg = load_config(args)
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = run_verification(
         n_small=cfg.get("samples", 200), seeds=cfg.get("seeds", 50),
         master_seed=cfg.get("master_seed", 0), workers=cfg.get("threads"),

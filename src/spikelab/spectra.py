@@ -5,11 +5,14 @@ the axis-aligned recipes store no basis V.  Everything downstream reads it
 through that form: the sorted eigenvalues (edge finding, spike limits) and
 elementwise functions f(Sigma), either dense (``function``), applied to a
 vector or a block of columns (``apply``: Sigma, Sigma^{1/2} X, the local-law
-Pi(z)) or as a diagonal (``diagonal``).  Supported recipes:
+Pi(z)) or as a diagonal (``diagonal``), and V'x and back (``coordinates``,
+``from_coordinates``, which the secular equation of the deformed population
+reads).  Supported recipes:
 
   identity        Sigma = I
   diagonal        explicit diagonal entries
-  toeplitz        geometric decay, Sigma_ij = rho ** |i - j|
+  toeplitz        geometric decay, Sigma_ij = rho ** |i - j| (eigenpairs in
+                  closed form)
   haar            O diag(s) O^T with s_i ~ Unif(a, b) and O Haar-orthogonal
   dense           explicit symmetric PSD matrix
 """
@@ -73,6 +76,18 @@ class CovarianceModel:
             return vals[:, None] * x if np.ndim(x) == 2 else vals * x
         return (self.basis * vals) @ (self.basis.T @ x)
 
+    def coordinates(self, x: np.ndarray) -> np.ndarray:
+        """V' x: a vector or a block of columns in the order of ``values``."""
+        if self.basis is None:
+            return np.asarray(x, dtype=float)
+        return self.basis.T @ x
+
+    def from_coordinates(self, y: np.ndarray) -> np.ndarray:
+        """V y: the inverse of ``coordinates``, back to storage order."""
+        if self.basis is None:
+            return np.asarray(y, dtype=float)
+        return self.basis @ y
+
     def diagonal(self, fn) -> np.ndarray:
         """Diagonal of f(Sigma) in storage order."""
         if self.basis is None:
@@ -116,6 +131,40 @@ def _from_eigh(recipe, mat, psd_tol=1e-8):
     return CovarianceModel(recipe, vals, basis=vecs)
 
 
+def _kms_eigenpairs(dim, rho):
+    """Eigenpairs of the Kac-Murdock-Szego matrix rho^|i-j| in closed form.
+
+    Its inverse is tridiagonal, so an eigenvector x_k = sin(k t + p(t)),
+    k = 1..dim, with p(t) = atan2(rho sin t, 1 - rho cos t), meets the
+    boundary conditions x_0 = rho x_1 and x_{dim+1} = rho x_dim exactly when
+    (dim + 1) t + 2 p(t) = j pi.  The left side increases in t and |2p| < pi,
+    so the j-th root lies in ((j - 1) pi, (j + 1) pi) / (dim + 1); all dim
+    roots are found at once by Newton steps kept inside those brackets.  The
+    eigenvalue is (1 - rho^2) / ((1 - rho)^2 + 4 rho sin^2(t / 2)).
+    """
+    j = np.arange(1, dim + 1)
+    width = np.pi / (dim + 1)
+    lo, hi = (j - 1) * width, np.minimum((j + 1) * width, np.pi)
+    t = j * width
+    for _ in range(100):
+        sin_t, cos_t = np.sin(t), np.cos(t)
+        g = (dim + 1) * t + 2.0 * np.arctan2(rho * sin_t, 1.0 - rho * cos_t) - j * np.pi
+        slope = (dim + 1) + 2.0 * rho * (cos_t - rho) / (1.0 - 2.0 * rho * cos_t + rho**2)
+        lo = np.where(g < 0, t, lo)
+        hi = np.where(g > 0, t, hi)
+        step = t - g / slope
+        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+        converged = np.abs(step - t) <= 4.0 * np.finfo(float).eps
+        t = step
+        if converged.all():
+            break
+    phase = np.arctan2(rho * np.sin(t), 1.0 - rho * np.cos(t))
+    vecs = np.sin(np.outer(j, t) + phase)
+    vecs /= np.linalg.norm(vecs, axis=0)
+    vals = (1.0 - rho**2) / ((1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * t) ** 2)
+    return vals, vecs
+
+
 def make_covariance(recipe: str, dim: int, seed=None, **params) -> CovarianceModel:
     """Construct a covariance model from a named recipe.
 
@@ -145,9 +194,9 @@ def make_covariance(recipe: str, dim: int, seed=None, **params) -> CovarianceMod
         rho = float(params["rho"])
         if abs(rho) >= 1:
             raise ConfigError(f"toeplitz ratio must satisfy |rho| < 1, got {rho}")
-        idx = np.arange(dim)
-        mat = rho ** np.abs(idx[:, None] - idx[None, :])
-        return _from_eigh("toeplitz", mat)
+        vals, vecs = _kms_eigenpairs(dim, rho)
+        order = _stable_descending_order(vals)
+        return CovarianceModel("toeplitz", vals[order], basis=vecs[:, order])
 
     if recipe == "haar":
         a, b = (float(x) for x in params["bounds"])

@@ -122,8 +122,8 @@ class DeformedPopulation:
     """Top eigendata of Sigma + S S^T with supercritical classification.
 
     ``sigma_tilde`` holds the K+1 largest eigenvalues (the extra one feeds
-    gap checks); ``psi`` the K sign-fixed unit eigenvectors; ``K0`` counts
-    spikes clearing threshold + 2*tau.
+    gap checks); ``K0`` counts spikes clearing threshold + 2*tau, and ``psi``
+    holds their K0 sign-fixed unit eigenvectors.
     """
 
     sigma_tilde: np.ndarray
@@ -134,6 +134,94 @@ class DeformedPopulation:
     gaps: np.ndarray
     edge: EdgeData
     warnings: tuple = ()
+
+
+# The top of Sigma + S S^T from Sigma = V Lambda V' and Z = V' U D (M x K),
+# without an M x M factorization.  For x not in Lambda, Sylvester's law of
+# inertia gives the count
+#     #{eig(Lambda + Z Z') > x} = #{lambda_i > x} + #{eig(A(x)) > 1},
+#     A(x) = Z' (x - Lambda)^{-1} Z,
+# exact also for repeated lambda_i, so bisection on it finds every value.
+# Above lambda_1 the j-th value x is where the j-th eigenvalue of A(x) is 1,
+# with eigenvector (x - Lambda)^{-1} Z c for the matching eigenvector c of
+# A(x) (Golub 1973, "Some modified matrix eigenvalue problems", SIAM Rev. 15).
+
+_EPS = np.finfo(float).eps
+_CLUSTER_RTOL = 1e-11   # roots this close share one eigenspace of A(x)
+
+
+def _secular_matrix(lam, z, x):
+    """A(x) = Z' (x - Lambda)^{-1} Z."""
+    return z.T @ (z / (x - lam)[:, None])
+
+
+def _count_above(lam, z, x):
+    """#{eig(Lambda + Z Z') > x}; a pole x = lambda_i is read just above it."""
+    while np.any(lam == x):
+        x = np.nextafter(x, np.inf)
+    mu = np.linalg.eigvalsh(_secular_matrix(lam, z, x))
+    return int(np.count_nonzero(lam > x)) + int(np.count_nonzero(mu > 1.0))
+
+
+def _bisect_count(lam, z, j, lo, hi, tol, gap):
+    """The (j+1)-th largest eigenvalue, known to lie in [lo, hi].
+
+    A(x) blows up at a pole and then loses the eigenvalues near 1 to
+    rounding, so a midpoint within ``gap`` of a pole steps ``gap`` off it
+    while the bracket allows.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        pole = lam[np.argmin(np.abs(lam - mid))]
+        if abs(mid - pole) < gap:
+            mid = next((x for x in (pole - gap, pole + gap) if lo < x < hi), mid)
+        if _count_above(lam, z, mid) > j:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _secular_values(lam, z, n):
+    """The n largest eigenvalues of Lambda + Z Z', largest first."""
+    k = z.shape[1]
+    base = np.sort(lam)[::-1]
+    reach = np.linalg.svd(z, compute_uv=False) ** 2
+    scale = abs(base[0]) + reach[0]
+    tol = 4.0 * _EPS * scale
+    gap = math.sqrt(_EPS) * scale   # how close to a pole A(x) is still read
+    vals = np.empty(n)
+    for j in range(n):
+        # Weyl: lambda_j(Sigma) <= sigma~_j <= lambda_1(Sigma) + s_j(Z)^2,
+        # and sigma~_j <= lambda_{j-K}(Sigma) once j >= K
+        hi = base[0] + reach[j] if j < k else base[j - k]
+        if j:
+            hi = min(hi, vals[j - 1])
+        vals[j] = _bisect_count(lam, z, j, base[j], hi, tol, gap)
+    return vals
+
+
+def _secular_vectors(sigma, z, roots):
+    """Orthonormal eigenvectors for roots above lambda_1:
+    psi = V (x - Lambda)^{-1} Z c, c in the eigenvalue-1 eigenspace of A(x).
+
+    Equal roots share one x and that whole eigenspace; one QR of all columns
+    then makes the block orthonormal (it moves well-separated vectors only at
+    rounding level).
+    """
+    lam = sigma.values
+    coords = np.empty((len(lam), len(roots)))
+    j = 0
+    while j < len(roots):
+        x = roots[j]
+        end = j + 1
+        while end < len(roots) and x - roots[end] <= _CLUSTER_RTOL * x:
+            end += 1
+        w = z / (x - lam)[:, None]
+        c = np.linalg.eigh(z.T @ w)[1][:, ::-1]   # largest eigenvalue first
+        coords[:, j:end] = w @ c[:, j:end]
+        j = end
+    return np.linalg.qr(sigma.from_coordinates(coords))[0]
 
 
 def deform(sigma: CovarianceModel, signal: SignalModel, tau: float) -> DeformedPopulation:
@@ -152,35 +240,35 @@ def deform(sigma: CovarianceModel, signal: SignalModel, tau: float) -> DeformedP
         raise DomainError("signal has rank 0; a nonzero deformation is required")
 
     k = signal.rank
-    mat = sigma.matrix() + signal.gram_m()
+    z = sigma.coordinates(signal.left * signal.svals)
     n_eigs = min(k + 1, m_dim)
-    # full syevd decomposition: the subset drivers (syevr/syevx) are flaky on
-    # the massively degenerate spectra these deformations produce
-    all_vals, all_vecs = np.linalg.eigh(mat)
-    vals = all_vals[::-1][:n_eigs]
-    vecs = all_vecs[:, ::-1][:, :n_eigs]
-    psi = _fix_signs(vecs[:, :k])
+    vals = _secular_values(sigma.values, z, n_eigs)
 
     edge = find_w_plus(esd(sigma), m_dim / n_dim)
-    threshold = edge.threshold
-    k0 = int(np.sum(vals[:k] >= threshold + 2 * tau))
+    k0, gaps, notes = _classify(vals, k, edge.threshold, tau)
+    # supercritical roots clear threshold > lambda_1(Sigma) by 2 tau
+    psi = _fix_signs(_secular_vectors(sigma, z, vals[:k0]))
+    return DeformedPopulation(
+        sigma_tilde=vals, psi=psi, threshold=edge.threshold, tau=tau, K0=k0,
+        gaps=gaps, edge=edge, warnings=notes,
+    )
 
+
+def _classify(vals, k, threshold, tau):
+    """K0, the gaps of the top K+1 eigenvalues and the advisory notes."""
+    k0 = int(np.sum(vals[:k] >= threshold + 2 * tau))
     notes = []
     marginal = np.sum((vals[:k] > threshold) & (vals[:k] < threshold + 2 * tau))
     if marginal:
         notes.append(f"{int(marginal)} spike(s) in the marginal band "
                      f"({threshold:.6g}, {threshold + 2 * tau:.6g}); excluded from K0")
-    gaps = vals[:-1] - vals[1:] if n_eigs > 1 else np.array([])
+    gaps = vals[:-1] - vals[1:] if len(vals) > 1 else np.array([])
     small = np.nonzero(gaps[:max(k0, 1)] < tau)[0]
     if k0 and small.size:
         notes.append(f"spike gap(s) below tau={tau} at index {small.tolist()}")
     if k0 == 0:
         notes.append("all spikes subcritical: no detached sample eigenvalue expected")
-
-    return DeformedPopulation(
-        sigma_tilde=vals, psi=psi, threshold=threshold, tau=tau, K0=k0,
-        gaps=gaps, edge=edge, warnings=tuple(notes),
-    )
+    return k0, gaps, tuple(notes)
 
 
 def mixed_moment(vectors, powers) -> float:

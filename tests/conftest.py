@@ -17,6 +17,20 @@ MC_REPS = 2000
 MC_SEED = 20240911
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of the matrices handed to ``np.linalg.eigh`` during a test."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def localized_setup():
     sigma = make_covariance("identity", GEOM["M"])

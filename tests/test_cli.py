@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import time
 
 import jsonschema
 import numpy as np
@@ -46,6 +48,22 @@ class TestTheory:
         assert rep["report"]["K0"] == 0
         assert "theta" not in rep["report"]
 
+    def test_toeplitz_report_factors_no_m_by_m_matrix(self, tmp_path, eigh_calls):
+        # toeplitz eigendata in closed form, deform by its K x K secular equation
+        cfg = write_config(tmp_path, dict(
+            THEORY_CFG, covariance={"recipe": "toeplitz", "dim": 200, "rho": 0.1}))
+        assert main(["theory", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert all(max(shape) == 1 for shape in eigh_calls)
+
+    def test_wall_time_ignores_the_system_clock(self, tmp_path, monkeypatch):
+        # a system clock stepped backwards during the run
+        ticks = itertools.count(step=-60.0)
+        monkeypatch.setattr(time, "time", lambda: 1.8e9 + next(ticks))
+        cfg = write_config(tmp_path, THEORY_CFG)
+        assert main(["theory", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        meta = json.loads((tmp_path / "out" / "theory_report.json").read_text())["meta"]
+        assert meta["wall_time_s"] >= 0
+
     def test_malformed_json_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"covariance": [,}')
@@ -80,6 +98,20 @@ class TestCalibrateAndTest:
                      "--seed", "-1", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: config field master_seed:")
+        assert err.count("\n") == 1 and not out.exists()
+
+    def test_negative_calibration_block_seed_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "k_star": 2,
+            "generate": {"covariance": {"recipe": "identity", "dim": 10},
+                         "samples": 40},
+            "calibration": {"k_star": 2, "n_star": 10, "reps": 100,
+                            "master_seed": -1},
+        })
+        out = tmp_path / "out"
+        assert main(["test", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "master_seed" in err
         assert err.count("\n") == 1 and not out.exists()
 
     def test_nstar_below_2kstar_minus_1_is_config_error(self, tmp_path, capsys,

@@ -125,6 +125,19 @@ class TestRunSpikeMc:
         assert np.array_equal(serial.lambdas, threaded.lambdas)
         assert np.array_equal(serial.theta_samples, threaded.theta_samples)
 
+    def test_multiplicative_run_factors_only_its_root(self, eigh_calls):
+        # the theory reads Sigma's eigendata and a K x K secular equation; the
+        # one dense factorization left is the root of Sigma + S S^T
+        m, n = 20, 40
+        rng = stream(3)
+        left = np.linalg.qr(rng.standard_normal((m, 2)))[0]
+        right = np.linalg.qr(rng.standard_normal((n, 2)))[0]
+        run_spike_mc(SpikeMCConfig(
+            make_covariance("toeplitz", m, rho=0.3),
+            SignalModel.from_factors(left, [2.0, 1.5], right),
+            make_noise_law("gaussian"), reps=3, master_seed=1, model="multiplicative"))
+        assert [shape for shape in eigh_calls if max(shape) > 2] == [(m, m)]
+
     @pytest.mark.parametrize("model", ["additive", "multiplicative"])
     def test_records_replay_from_their_streams(self, model):
         # record i is the top of S + Sigma^(1/2) X (additive) or of

@@ -40,6 +40,21 @@ class TestMakeCovariance:
         np.testing.assert_allclose(cov.eigenvalues, toeplitz3_eigenvalues(),
                                    atol=1e-10)
 
+    @given(dim=st.integers(1, 300),
+           rho=st.one_of(st.just(0.0), st.floats(-0.95, 0.95, exclude_min=True,
+                                                  exclude_max=True)))
+    @settings(max_examples=40, deadline=None)
+    def test_toeplitz_closed_form_matches_eigh(self, dim, rho):
+        idx = np.arange(dim)
+        mat = rho ** np.abs(idx[:, None] - idx[None, :])
+        cov = make_covariance("toeplitz", dim, rho=rho)
+        expected = np.linalg.eigh(mat)[0][::-1]
+        np.testing.assert_allclose(cov.eigenvalues, expected, rtol=0,
+                                   atol=1e-12 * expected[0])
+        np.testing.assert_allclose(cov.matrix(), mat, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cov.basis.T @ cov.basis, np.eye(dim), rtol=0,
+                                   atol=1e-12)
+
     def test_haar_rotated(self):
         cov = make_covariance("haar", 50, seed=11, bounds=(1.0, 1.5))
         assert cov.eigenvalues.min() >= 1.0 and cov.eigenvalues.max() <= 1.5
@@ -128,6 +143,14 @@ class TestFunction:
         # the linear maps agree with the dense matrices on a vector, a square
         # block and a non-square block (rows scaled, never columns)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        # V'x carries x' Sigma x as sum_i values_i (V'x)_i^2
+        x = rng.standard_normal((dim, 3))
+        np.testing.assert_allclose(
+            cov.values @ cov.coordinates(x) ** 2, np.sum(x * (cov.matrix() @ x), axis=0),
+            rtol=0, atol=1e-12 * dim * max(cov.eigenvalues[0], 1.0) * np.abs(x).max() ** 2)
+        # and V (V'x) = x
+        np.testing.assert_allclose(cov.from_coordinates(cov.coordinates(x)), x,
+                                   rtol=0, atol=1e-12 * dim * np.abs(x).max())
         dense = {"apply": cov.function(fn), "matvec": cov.matrix(),
                  "sqrt_matmat": cov.function(np.sqrt)}
         for shape in [(dim,), (dim, dim), (dim, dim + 1)]:

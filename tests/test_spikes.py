@@ -11,6 +11,7 @@ from spikelab.spectra import make_covariance
 from spikelab.stieltjes import find_w_plus
 from spikelab.spikes import (
     SignalModel,
+    _classify,
     asymptotic_quantities,
     deform,
     delocalization_profile,
@@ -92,6 +93,49 @@ class TestDeform:
         for k in range(signal.rank):
             res = np.abs(mat @ pop.psi[:, k] - pop.sigma_tilde[k] * pop.psi[:, k]).max()
             assert res <= 1e-8 * pop.sigma_tilde[0]
+
+
+# covariances for the dense oracle: repeated eigenvalues (identity, diagonal
+# with repeated entries) and bases (toeplitz, haar)
+ORACLE_SIGMAS = {
+    "identity": lambda m, rng: make_covariance("identity", m),
+    "diagonal": lambda m, rng: make_covariance(
+        "diagonal", m, entries=rng.choice([0.5, 1.0, 1.5], size=m)),
+    "toeplitz": lambda m, rng: make_covariance("toeplitz", m, rho=rng.uniform(-0.6, 0.6)),
+    "haar": lambda m, rng: make_covariance("haar", m, seed=rng, bounds=(0.5, 2.0)),
+}
+
+
+class TestDeformOracle:
+    @pytest.mark.parametrize("recipe", sorted(ORACLE_SIGMAS))
+    @given(m=st.integers(4, 60), rank=st.integers(1, 4), axis=st.booleans(),
+           repeated=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_dense_eigh(self, recipe, m, rank, axis, repeated, seed):
+        rng = np.random.default_rng(seed)
+        sigma = ORACLE_SIGMAS[recipe](m, rng)
+        # strengths from well above the edge down to subcritical
+        strengths = np.sort(rng.uniform(0.2, 3.0, rank))[::-1]
+        if repeated:
+            strengths[:] = strengths[0]
+        n = 2 * m
+        left = (np.eye(m)[:, rng.choice(m, rank, replace=False)] if axis
+                else np.linalg.qr(rng.standard_normal((m, rank)))[0])
+        right = np.linalg.qr(rng.standard_normal((n, rank)))[0]
+        signal = SignalModel.from_factors(left, strengths, right)
+        tau = 0.05
+
+        pop = deform(sigma, signal, tau)
+        mat = sigma.matrix() + signal.gram_m()
+        expected = np.linalg.eigh(mat)[0][::-1][:rank + 1]
+        top = expected[0]
+        np.testing.assert_allclose(pop.sigma_tilde, expected, rtol=0, atol=1e-12 * top)
+        k0, _gaps, notes = _classify(expected, rank, pop.threshold, tau)
+        assert pop.K0 == k0 and pop.warnings == notes
+        assert pop.psi.shape == (m, k0)
+        residual = mat @ pop.psi - pop.psi * pop.sigma_tilde[:k0]
+        assert np.linalg.norm(residual, axis=0).max(initial=0.0) <= 1e-10 * top
+        np.testing.assert_allclose(pop.psi.T @ pop.psi, np.eye(k0), rtol=0, atol=1e-10)
 
 
 class TestMixedMoment:
