@@ -417,7 +417,7 @@ def cmd_theory(args) -> int:
     sig_digits = cfg.get("precision", 10)
 
     pop = deform(sigma, signal, tau)
-    assumptions = check_assumptions(sigma, n_dim, tau)
+    assumptions = check_assumptions(pop.edge, tau)
     report = {
         "phi": pop.edge.phi,
         "edge": {

@@ -8,7 +8,9 @@ provable numerically, but all of it is falsifiable: residuals must shrink
 like 1/sqrt(N) and algebraic identities must hold to solver precision.
 All spectral parameters are real and kept a hard margin above the edge.
 Each noise draw is factored once (``factor_noise``); ``build_resolvent``
-pairs that factorization with Pi(z) at every z the draw needs.
+pairs that factorization with Pi(z) at every z the draw needs, and
+``sample_spikes`` reads the outliers of S + y from the same factorization
+as a signed rank-2K secular problem, with no SVD of the M x N sample.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .spectra import CovarianceModel
-from .spikes import SignalModel, SpikeTheory
+from .spikes import SignalModel, SpikeTheory, secular_values
 from .stieltjes import EdgeData, f_eval, solve_m
 
 EDGE_MARGIN = 0.05
@@ -274,8 +276,19 @@ class MasterMatrixReport:
 
 
 def sample_spikes(draw: NoiseDraw, signal: SignalModel, k: int) -> np.ndarray:
-    """Top-k sample eigenvalues: squared singular values of S + Sigma^{1/2} X."""
-    return np.linalg.svd(signal.dense() + draw.y, compute_uv=False)[:k] ** 2
+    """Top-k eigenvalues of (S + y)(S + y)' from the draw's own factorization.
+
+    With S = L D R', (y + S)(y + S)' = y y' + Z+ Z+' - Z- Z-' for
+    Z+ = y R + L D and Z- = y R: a signed rank-2K update of y y' = U Lambda U',
+    solved in U's coordinates by ``secular_values`` at O(MK) per count
+    after one O(M^2 K) projection.  The count is exact below lambda_1(y y')
+    too, so a spike that fails to detach needs no other path.
+    """
+    y_right = draw.y @ signal.right
+    coords = draw.gram_vecs.T @ np.hstack([y_right + signal.left * signal.svals,
+                                           y_right])
+    rank = signal.rank
+    return secular_values(draw.gram_eigs, coords[:, :rank], coords[:, rank:], k)
 
 
 def master_matrix_suite(draw: NoiseDraw, signal: SignalModel,

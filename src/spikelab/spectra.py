@@ -22,10 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
+
+if TYPE_CHECKING:
+    from .stieltjes import EdgeData   # stieltjes depends on spectra
 
 
 def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -299,30 +303,22 @@ class AssumptionReport:
                 and self.low_mass.ok and self.edge_regularity.ok)
 
 
-def check_assumptions(model: CovarianceModel, N: int, tau: float) -> AssumptionReport:
-    """Check the high-dimensional regularity assumptions; never raises on a
-    violation, it reports the measured margin instead."""
-    from .stieltjes import find_w_plus  # deferred: stieltjes depends on spectra
-
+def check_assumptions(edge: EdgeData, tau: float) -> AssumptionReport:
+    """Check the high-dimensional regularity assumptions on a solved noise
+    bulk (nu, phi and w_plus from ``edge``); never raises on a violation, it
+    reports the measured margin instead."""
     if not 0 < tau < 1:
         raise ConfigError(f"tau must lie in (0, 1), got {tau}")
-    phi = model.dim / N
+    phi, nu = edge.phi, edge.nu
     aspect = AssumptionCheck(
         tau <= phi <= 1.0 / tau, min(phi - tau, 1.0 / tau - phi)
     )
-    sigma1 = float(model.eigenvalues[0])
+    sigma1 = nu.top
     norm = AssumptionCheck(sigma1 <= 1.0 / tau, 1.0 / tau - sigma1)
 
-    nu = esd(model)
     mass = nu.mass_below(tau)
     low_mass = AssumptionCheck(mass <= 1.0 - tau, (1.0 - tau) - mass)
 
-    if sigma1 <= 0:
-        edge = AssumptionCheck(False, float("nan"))
-    else:
-        try:
-            value = find_w_plus(nu, phi).w_plus + 1.0 / sigma1
-            edge = AssumptionCheck(value >= tau, value)
-        except (DomainError, NumericalError):
-            edge = AssumptionCheck(False, float("nan"))
-    return AssumptionReport(tau, phi, aspect, norm, low_mass, edge)
+    value = edge.w_plus + 1.0 / sigma1
+    return AssumptionReport(tau, phi, aspect, norm, low_mass,
+                            AssumptionCheck(value >= tau, value))

@@ -136,37 +136,39 @@ class DeformedPopulation:
     warnings: tuple = ()
 
 
-# The top of Sigma + S S^T from Sigma = V Lambda V' and Z = V' U D (M x K),
-# without an M x M factorization.  For x not in Lambda, Sylvester's law of
-# inertia gives the count
-#     #{eig(Lambda + Z Z') > x} = #{lambda_i > x} + #{eig(A(x)) > 1},
+# The top eigenvalues of a signed low-rank update Lambda + Z J Z' of a
+# diagonal Lambda, with Z = [Z+, Z-] and J = diag(I, -I), without an M x M
+# factorization.  For x not in Lambda, Haynsworth's inertia additivity on
+# [[Lambda - x, Z], [Z', -J]] gives the count
+#     #{eig(Lambda + Z J Z') > x} = #{lambda_i > x} + #{eig(A(x) - J) > 0} - K-,
 #     A(x) = Z' (x - Lambda)^{-1} Z,
-# exact also for repeated lambda_i, so bisection on it finds every value.
-# Above lambda_1 the j-th value x is where the j-th eigenvalue of A(x) is 1,
-# with eigenvector (x - Lambda)^{-1} Z c for the matching eigenvector c of
-# A(x) (Golub 1973, "Some modified matrix eigenvalue problems", SIAM Rev. 15).
+# with K- the number of columns of Z-.  It is exact also for repeated
+# lambda_i and below lambda_1, so bisection on it finds every value.  With
+# no Z- (Sigma + S S') the j-th value above lambda_1 is where the j-th
+# eigenvalue of A(x) is 1, with eigenvector (x - Lambda)^{-1} Z c for the
+# matching eigenvector c of A(x) (Golub 1973, "Some modified matrix
+# eigenvalue problems", SIAM Rev. 15).
 
 _EPS = np.finfo(float).eps
 _CLUSTER_RTOL = 1e-11   # roots this close share one eigenspace of A(x)
 
 
-def _secular_matrix(lam, z, x):
-    """A(x) = Z' (x - Lambda)^{-1} Z."""
-    return z.T @ (z / (x - lam)[:, None])
-
-
-def _count_above(lam, z, x):
-    """#{eig(Lambda + Z Z') > x}; a pole x = lambda_i is read just above it."""
+def _count_above(lam, z, signs, x):
+    """#{eig(Lambda + Z diag(signs) Z') > x}; a pole x = lambda_i is read
+    just above it."""
     while np.any(lam == x):
         x = np.nextafter(x, np.inf)
-    mu = np.linalg.eigvalsh(_secular_matrix(lam, z, x))
-    return int(np.count_nonzero(lam > x)) + int(np.count_nonzero(mu > 1.0))
+    shifted = z.T @ (z / (x - lam)[:, None])
+    shifted.flat[::len(signs) + 1] -= signs    # A(x) - J
+    mu = np.linalg.eigvalsh(shifted)
+    return (int(np.count_nonzero(lam > x)) + int(np.count_nonzero(mu > 0.0))
+            - int(np.count_nonzero(signs < 0)))
 
 
-def _bisect_count(lam, z, j, lo, hi, tol, gap):
+def _bisect_count(lam, z, signs, j, lo, hi, tol, gap):
     """The (j+1)-th largest eigenvalue, known to lie in [lo, hi].
 
-    A(x) blows up at a pole and then loses the eigenvalues near 1 to
+    A(x) blows up at a pole and then loses its eigenvalues near J to
     rounding, so a midpoint within ``gap`` of a pole steps ``gap`` off it
     while the bracket allows.
     """
@@ -175,29 +177,39 @@ def _bisect_count(lam, z, j, lo, hi, tol, gap):
         pole = lam[np.argmin(np.abs(lam - mid))]
         if abs(mid - pole) < gap:
             mid = next((x for x in (pole - gap, pole + gap) if lo < x < hi), mid)
-        if _count_above(lam, z, mid) > j:
+        if _count_above(lam, z, signs, mid) > j:
             lo = mid
         else:
             hi = mid
     return hi
 
 
-def _secular_values(lam, z, n):
-    """The n largest eigenvalues of Lambda + Z Z', largest first."""
-    k = z.shape[1]
+def secular_values(lam, z_plus, z_minus, n):
+    """The n largest eigenvalues of Lambda + Z+ Z+' - Z- Z-', largest first.
+
+    ``lam`` holds the diagonal of Lambda in any order; Z+ and Z- have
+    len(lam) rows and K+ and K- columns (either may be empty).
+    """
+    k_plus, k_minus = z_plus.shape[1], z_minus.shape[1]
+    z = np.hstack([z_plus, z_minus])
+    signs = np.concatenate([np.ones(k_plus), -np.ones(k_minus)])
     base = np.sort(lam)[::-1]
-    reach = np.linalg.svd(z, compute_uv=False) ** 2
-    scale = abs(base[0]) + reach[0]
+    reach = np.linalg.svd(z_plus, compute_uv=False) ** 2
+    drop = float(np.sum(z_minus**2))   # ||Z-||_F^2 >= ||Z- Z-'||
+    scale = abs(base[0]) + reach.max(initial=0.0)
     tol = 4.0 * _EPS * scale
     gap = math.sqrt(_EPS) * scale   # how close to a pole A(x) is still read
     vals = np.empty(n)
     for j in range(n):
-        # Weyl: lambda_j(Sigma) <= sigma~_j <= lambda_1(Sigma) + s_j(Z)^2,
-        # and sigma~_j <= lambda_{j-K}(Sigma) once j >= K
-        hi = base[0] + reach[j] if j < k else base[j - k]
+        # Weyl: lambda_{j+K-}(Lambda) <= value_j <= lambda_1(Lambda) + s_j(Z+)^2,
+        # value_j <= lambda_{j-K+}(Lambda) once j >= K+, and value_j >=
+        # lambda_min(Lambda) - ||Z-||^2 always
+        lo = (base[j + k_minus] if j + k_minus < len(base)
+              else base[-1] - drop)
+        hi = base[0] + reach[j] if j < k_plus else base[j - k_plus]
         if j:
             hi = min(hi, vals[j - 1])
-        vals[j] = _bisect_count(lam, z, j, base[j], hi, tol, gap)
+        vals[j] = _bisect_count(lam, z, signs, j, lo, hi, tol, gap)
     return vals
 
 
@@ -242,7 +254,7 @@ def deform(sigma: CovarianceModel, signal: SignalModel, tau: float) -> DeformedP
     k = signal.rank
     z = sigma.coordinates(signal.left * signal.svals)
     n_eigs = min(k + 1, m_dim)
-    vals = _secular_values(sigma.values, z, n_eigs)
+    vals = secular_values(sigma.values, z, z[:, :0], n_eigs)
 
     edge = find_w_plus(esd(sigma), m_dim / n_dim)
     k0, gaps, notes = _classify(vals, k, edge.threshold, tau)

@@ -18,17 +18,26 @@ MC_SEED = 20240911
 
 
 @pytest.fixture
-def eigh_calls(monkeypatch):
-    """Shapes of the matrices handed to ``np.linalg.eigh`` during a test."""
-    calls = []
-    eigh = np.linalg.eigh
+def linalg_calls(monkeypatch):
+    """Shapes of the matrices handed to ``np.linalg.svd``, ``eigh`` and
+    ``eigvalsh`` during a test, one list per function name."""
+    calls = {"svd": [], "eigh": [], "eigvalsh": []}
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+    def recording(name, solve):
+        def counting(a, *args, **kwargs):
+            calls[name].append(np.shape(a))
+            return solve(a, *args, **kwargs)
+        return counting
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
     return calls
+
+
+@pytest.fixture
+def eigh_calls(linalg_calls):
+    """Shapes of the matrices handed to ``np.linalg.eigh`` during a test."""
+    return linalg_calls["eigh"]
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from spikelab import spikes, stieltjes
 from spikelab.cli import CONFIG_SCHEMAS, OutputSession, main
 
 
@@ -54,6 +55,21 @@ class TestTheory:
             THEORY_CFG, covariance={"recipe": "toeplitz", "dim": 200, "rho": 0.1}))
         assert main(["theory", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert all(max(shape) == 1 for shape in eigh_calls)
+
+    def test_one_bulk_solve_per_call(self, tmp_path, monkeypatch):
+        # deform solves the noise bulk once; the assumption checks read it
+        calls = []
+        solve = stieltjes.find_w_plus
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        for module in (stieltjes, spikes):
+            monkeypatch.setattr(module, "find_w_plus", counting)
+        cfg = write_config(tmp_path, THEORY_CFG)
+        assert main(["theory", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
     def test_wall_time_ignores_the_system_clock(self, tmp_path, monkeypatch):
         # a system clock stepped backwards during the run

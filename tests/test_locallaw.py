@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from spikelab.spectra import esd, make_covariance
 from spikelab.stieltjes import find_w_plus, m_derivative_and_divided_difference
 from spikelab.spikes import SignalModel, asymptotic_quantities, deform
 from spikelab.ensemble import make_noise_law, stream
+from spikelab import locallaw
 from spikelab.locallaw import (
     EDGE_MARGIN,
     G_NORM_LIMIT,
@@ -23,6 +25,7 @@ from spikelab.locallaw import (
     master_matrix_pi,
     master_matrix_suite,
     master_quadratic_pi2,
+    sample_spikes,
     solve_pi,
     two_resolvent_residuals,
 )
@@ -266,6 +269,68 @@ class TestMasterMatrices:
     def test_quadratic_identity(self, setup):
         report = master_matrix_suite(*setup)
         assert report.quad_identity_error.max() <= 1e-8
+
+
+def spike_draw(m_dim, n_dim, strengths, axis, seed, recipe="identity"):
+    """A factored noise draw and a signal with the given strengths."""
+    kwargs = {"rho": 0.3} if recipe == "toeplitz" else {}
+    sigma = make_covariance(recipe, m_dim, **kwargs)
+    rng = np.random.default_rng(seed)
+    rank = len(strengths)
+    left = (np.eye(m_dim)[:, rng.choice(m_dim, rank, replace=False)] if axis
+            else np.linalg.qr(rng.standard_normal((m_dim, rank)))[0])
+    right = np.linalg.qr(rng.standard_normal((n_dim, rank)))[0]
+    signal = SignalModel.from_factors(left, strengths, right)
+    x = rng.standard_normal((m_dim, n_dim)) / math.sqrt(n_dim)
+    return factor_noise(x, sigma), signal
+
+
+class TestSampleSpikes:
+    @pytest.mark.parametrize("recipe", ["identity", "toeplitz"])
+    @given(rank=st.integers(1, 3), wide=st.booleans(), axis=st.booleans(),
+           data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_gram(self, recipe, rank, wide, axis, data):
+        # top K+1 eigenvalues of (S + y)(S + y)', from well detached down to
+        # strengths whose outliers stay under lambda_1(y y')
+        short = data.draw(st.integers(rank + 1, 25), label="short side")
+        long = data.draw(st.integers(short + 1, short + 30), label="long side")
+        m_dim, n_dim = (short, long) if wide else (long, short)
+        strengths = data.draw(st.lists(st.floats(0.1, 3.0), min_size=rank,
+                                       max_size=rank), label="strengths")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        draw, signal = spike_draw(m_dim, n_dim, sorted(strengths, reverse=True),
+                                  axis, seed, recipe)
+        sample = signal.dense() + draw.y
+        want = np.linalg.eigvalsh(sample @ sample.T)[::-1]
+        for k in range(1, rank + 2):
+            np.testing.assert_allclose(sample_spikes(draw, signal, k), want[:k],
+                                       rtol=0, atol=1e-12 * want[0])
+
+    def test_outliers_below_the_noise_top(self):
+        # weak spikes that do not detach are read by the same count
+        draw, signal = spike_draw(40, 80, [0.3, 0.2], axis=False, seed=3)
+        sample = signal.dense() + draw.y
+        want = np.linalg.eigvalsh(sample @ sample.T)[::-1][:3]
+        assert want[0] < draw.gram_eigs.max()
+        np.testing.assert_allclose(sample_spikes(draw, signal, 3), want,
+                                   rtol=0, atol=1e-12 * want[0])
+
+    @pytest.mark.parametrize("m_dim, n_dim", [(60, 90), (90, 60)])
+    def test_factors_no_m_by_m_or_m_by_n_matrix(self, m_dim, n_dim, linalg_calls):
+        # the draw's Gram factorization is reused: only the M x K signal
+        # block and the 2K x 2K secular matrices are factored
+        rank = 2
+        draw, signal = spike_draw(m_dim, n_dim, [2.5, 1.5], axis=False, seed=5)
+        for shapes in linalg_calls.values():
+            shapes.clear()
+        sample_spikes(draw, signal, rank + 1)
+        assert linalg_calls["eigh"] == []
+        assert set(linalg_calls["svd"]) == {(m_dim, rank)}
+        assert set(linalg_calls["eigvalsh"]) == {(2 * rank, 2 * rank)}
+
+    def test_locallaw_takes_no_svd(self):
+        assert "linalg.svd" not in inspect.getsource(locallaw)
 
 
 class TestGreenRepresentation:

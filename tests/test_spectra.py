@@ -13,6 +13,7 @@ from spikelab.spectra import (
     haar_orthogonal,
     make_covariance,
 )
+from spikelab.stieltjes import find_w_plus
 
 
 def toeplitz3_eigenvalues():
@@ -200,9 +201,14 @@ class TestEsd:
             assert nu.mass_below(cutoff) == float(exact)
 
 
+def bulk(model, n_dim):
+    """The solved noise bulk of ``model`` at M/N = dim / n_dim."""
+    return find_w_plus(esd(model), model.dim / n_dim)
+
+
 class TestAssumptions:
     def test_identity_all_pass(self):
-        rep = check_assumptions(make_covariance("identity", 100), 200, 0.1)
+        rep = check_assumptions(bulk(make_covariance("identity", 100), 200), 0.1)
         assert rep.all_ok
         # closed-form critical point for isotropic noise at phi = 1/2
         expected = 1.0 - 1.0 / (1.0 + math.sqrt(0.5))
@@ -211,19 +217,26 @@ class TestAssumptions:
     def test_norm_bound_violation(self):
         entries = np.ones(50)
         entries[0] = 20.0
-        rep = check_assumptions(make_covariance("diagonal", 50, entries=entries),
-                                100, 0.1)
+        rep = check_assumptions(
+            bulk(make_covariance("diagonal", 50, entries=entries), 100), 0.1)
         assert not rep.norm_bound.ok
         assert rep.norm_bound.margin == pytest.approx(10.0 - 20.0)
 
     def test_zero_matrix_mass_violation(self):
-        rep = check_assumptions(make_covariance("diagonal", 20,
-                                                entries=np.zeros(20)), 40, 0.1)
+        # the zero matrix has no bulk edge to check; zero but for one entry,
+        # it has one, and the mass violation is reported instead of raised
+        with pytest.raises(DomainError):
+            bulk(make_covariance("diagonal", 20, entries=np.zeros(20)), 40)
+        entries = np.zeros(20)
+        entries[0] = 1.0
+        rep = check_assumptions(
+            bulk(make_covariance("diagonal", 20, entries=entries), 40), 0.1)
         assert not rep.low_mass.ok
-        assert not rep.all_ok  # and it reported instead of raising
+        assert rep.low_mass.margin == pytest.approx(0.9 - 0.95)
+        assert not rep.all_ok
 
     @given(st.floats(min_value=0.01, max_value=0.5))
     @settings(max_examples=20, deadline=None)
     def test_never_raises(self, tau):
-        rep = check_assumptions(make_covariance("identity", 30), 60, tau)
+        rep = check_assumptions(bulk(make_covariance("identity", 30), 60), tau)
         assert rep.phi == pytest.approx(0.5)

@@ -50,12 +50,17 @@ class TestFEval:
            st.floats(min_value=0.2, max_value=2.0))
     @settings(max_examples=40, deadline=None)
     def test_derivatives_match_finite_differences(self, w, phi):
-        step = 1e-5
-        f0, f1, f2 = f_eval(w, TWO_ATOM, phi)
-        fp = f_eval(w + step, TWO_ATOM, phi)[0]
-        fm = f_eval(w - step, TWO_ATOM, phi)[0]
-        assert f1 == pytest.approx((fp - fm) / (2 * step), rel=1e-6)
-        assert f2 == pytest.approx((fp - 2 * f0 + fm) / step**2, rel=1e-5)
+        # five-point stencils: f' vanishes at the edge w_plus(phi), and a
+        # three-point difference's O(step^2 f''') error is then larger than
+        # rel=1e-6 of f' (e.g. w=-1/3, phi=0.470703125)
+        step = 1e-4
+        _, f1, f2 = f_eval(w, TWO_ATOM, phi)
+        fm2, fm, f0, fp, fp2 = (f_eval(w + k * step, TWO_ATOM, phi)[0]
+                                for k in (-2, -1, 0, 1, 2))
+        assert f1 == pytest.approx((fm2 - 8 * fm + 8 * fp - fp2) / (12 * step), rel=1e-6)
+        assert f2 == pytest.approx(
+            (-fm2 + 16 * fm - 30 * f0 + 16 * fp - fp2) / (12 * step**2), rel=1e-5
+        )
 
 
 class TestEdge:
