@@ -36,7 +36,6 @@ from .ensemble import (
     SpikeMCConfig,
     make_noise_law,
     mixture_signal,
-    parallel_map,
     run_spike_mc,
     stream,
 )
@@ -48,7 +47,7 @@ from .hetero import (
     detect,
     draw_centers,
     draw_data,
-    ds_rs_from_data,
+    figure2_samples,
     run_power_experiment,
     run_size_experiment,
 )
@@ -588,7 +587,7 @@ def cmd_test(args) -> int:
         scenario = Scenario(sigma.dim, gen["samples"], build_noise(gen.get("noise")),
                             sigma, gen.get("clusters", 0),
                             gen.get("center_scale", 1.0))
-        data = draw_data(scenario, stream(cfg.get("master_seed", 0), 0))
+        data = draw_data(scenario, [stream(cfg.get("master_seed", 0), 0)])[0]
     else:
         raise ConfigError("test needs either data_csv or generate")
     if min(data.shape) < 2 * cfg["k_star"] - 1:
@@ -665,28 +664,12 @@ def cmd_reproduce(args) -> int:
 
 
 def _figure2(session, reps, seed, cfg, t0, sig_digits):
-    """Null/alternative DS and RS samples for M in {100, 200, 400}, N = 2M."""
-    k_star = 4
-    law = make_noise_law("gaussian")
+    """Histograms of the null/alternative DS and RS samples of figure 2."""
     rows = []
-    for mi, m_dim in enumerate((100, 200, 400)):
-        n_dim = 2 * m_dim
-        c1 = np.zeros(m_dim)
-        c1[0] = 1.5
-        sigma = make_covariance("identity", m_dim)
-        for hi, hypothesis in enumerate(("null", "alt")):
-            centers = np.column_stack([c1, -c1]) if hypothesis == "alt" else None
-            scenario = Scenario(m_dim, n_dim, law, sigma, centers=centers)
-
-            def one(rep, _s=scenario, _mi=mi, _hi=hi):
-                return ds_rs_from_data(draw_data(_s, stream(seed, _mi, _hi, rep)),
-                                       k_star)
-
-            stats = parallel_map(one, range(reps), cfg.get("threads"))
-            for stat_idx, stat_name in ((0, "DS"), (1, "RS")):
-                vals = np.array([s[stat_idx] for s in stats])
-                rows += [(m_dim, hypothesis, stat_name, *row)
-                         for row in _histogram_rows(vals, sig_digits)]
+    for m_dim, hypothesis, ds, rs in figure2_samples(reps, seed, cfg.get("threads")):
+        for stat_name, vals in (("DS", ds), ("RS", rs)):
+            rows += [(m_dim, hypothesis, stat_name, *row)
+                     for row in _histogram_rows(vals, sig_digits)]
     csv_path = session.write_csv(
         "figure2_hist.csv",
         ("dim", "hypothesis", "statistic", "bin_left", "bin_right", "count"), rows)

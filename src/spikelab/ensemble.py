@@ -2,12 +2,19 @@
 
 Replications draw from counter-based Philox streams keyed by
 (master_seed, replication index), so results are bit-identical under any
-parallel schedule; aggregation is an ordered reduce over replication slots.
+parallel schedule.  The replication loops map over chunks of consecutive
+replications (``rep_chunks``): a chunk draws each of its replications from
+that replication's own stream into one stacked array, then makes one stacked
+factorization (``top_eigs`` on a stack).  BLAS and LAPACK treat every matrix
+of a stack on its own, so a record does not depend on the chunk it fell in.
+Aggregation is an ordered reduce over the chunks, concatenated in
+replication order (``map_chunks``).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -38,13 +45,67 @@ def stream(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+#: Bytes the stacked arrays of one chunk of replications may hold (see
+#: ``rep_bytes``).  One stacked LAPACK call on many small matrices costs far
+#: less than one call per matrix, above all on several threads.  The cap
+#: bounds a chunk's working set, which glibc's allocator keeps mapped for
+#: reuse once its dynamic mmap threshold has risen past the stacks' sizes:
+#: on the detection benchmark (2 threads) a 6 MiB cap raised the peak RSS by
+#: about 8 MiB, while 5 MiB leaves it where one replication at a time has it.
+CHUNK_BYTES = 5 * 2**20
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _pool_size(workers, n_items: int) -> int:
+    """Threads ``parallel_map`` runs for ``n_items``: ``workers``, but at most
+    one per item and one per usable CPU."""
+    if workers is None or workers <= 1:
+        return 1
+    return max(min(workers, n_items, _usable_cpus()), 1)
+
+
 def parallel_map(fn, items, workers=None):
-    """Order-preserving map, threaded when workers > 1 (BLAS releases the GIL)."""
+    """Order-preserving map on min(workers, items, usable CPUs) threads (BLAS
+    and LAPACK release the GIL); serial when that is one."""
     items = list(items)
-    if workers is None or workers <= 1 or len(items) <= 1:
+    threads = _pool_size(workers, len(items))
+    if threads <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
+
+
+def rep_bytes(m: int, n: int) -> int:
+    """Bytes one M x N replication holds in a chunk's stacks: the draw, its
+    rooted (or scaled) copy and the smaller Gram matrix."""
+    return 8 * (2 * m * n + min(m, n) ** 2)
+
+
+def rep_chunks(reps: int, workers, nbytes: int) -> list[range]:
+    """Consecutive replication ranges, ceil(reps / threads) long for the
+    threads ``parallel_map`` runs, but short enough that a chunk's stacks hold
+    at most ``CHUNK_BYTES`` (``nbytes`` per replication; one replication at
+    least).  No replications give one empty chunk."""
+    size = max(min(math.ceil(reps / _pool_size(workers, reps)),
+                   CHUNK_BYTES // nbytes), 1)
+    return [range(i, min(i + size, reps)) for i in range(0, max(reps, 1), size)]
+
+
+def map_chunks(fn, reps: int, workers, nbytes: int) -> tuple:
+    """Ordered reduce of ``fn`` over ``rep_chunks``.
+
+    ``fn(chunk)`` returns a tuple of arrays whose leading axis runs over the
+    chunk's replications; each is concatenated over the chunks in
+    replication order.
+    """
+    parts = parallel_map(fn, rep_chunks(reps, workers, nbytes), workers)
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 @dataclass(frozen=True)
@@ -81,9 +142,16 @@ def _discrete_sampler(atoms, probs):
     atoms = np.asarray(atoms, dtype=float)
     cum = np.cumsum(probs)
     cum[-1] = 1.0
+    index_type = np.min_scalar_type(len(atoms) - 1)
 
     def draw(rng, shape):
-        return atoms[np.searchsorted(cum, rng.random(shape), side="right")]
+        # the atom index of u is #{j : cum[j] <= u}, as searchsorted(cum, u,
+        # side="right") counts it; cum[-1] = 1 never counts since u < 1
+        u = rng.random(shape)
+        idx = np.zeros(u.shape, dtype=index_type)
+        for c in cum[:-1]:
+            idx += u >= c
+        return atoms[idx]
 
     return draw
 
@@ -176,20 +244,23 @@ def make_noise_law(kind: str, atoms=None, probs=None) -> NoiseLaw:
 
 
 def top_eigs(ytilde: np.ndarray, r: int) -> np.ndarray:
-    """Largest r eigenvalues of Ytilde Ytilde^T (squared singular values).
+    """Largest r eigenvalues of Ytilde Ytilde^T (squared singular values),
+    descending, for one M x N matrix or a stack of shape (..., M, N).
 
-    Takes ``eigvalsh`` of the smaller Gram matrix (Y Y^T when M <= N, else
-    Y^T Y) at every shape.  Each returned eigenvalue carries an absolute
-    error of about eps * lambda_1 (Golub & Van Loan, section 8.6): relative
-    accuracy near the top of the spectrum, but not for eigenvalues far
-    below lambda_1.
+    Takes one ``eigvalsh`` of the smaller Gram matrices (Y Y^T when M <= N,
+    else Y^T Y) at every shape, and returns shape (..., r).  A stack gives
+    each matrix exactly the values it gives alone.  Each returned eigenvalue
+    carries an absolute error of about eps * lambda_1 (Golub & Van Loan,
+    section 8.6): relative accuracy near the top of the spectrum, but not for
+    eigenvalues far below lambda_1.
     """
-    m, n = ytilde.shape
+    m, n = ytilde.shape[-2:]
     if not 1 <= r <= min(m, n):
         raise DomainError(f"r={r} out of range for a {m}x{n} matrix")
-    gram = ytilde @ ytilde.T if m <= n else ytilde.T @ ytilde
+    transposed = np.swapaxes(ytilde, -1, -2)
+    gram = ytilde @ transposed if m <= n else transposed @ ytilde
     vals = np.linalg.eigvalsh(gram)
-    return vals[::-1][:r]
+    return vals[..., : -r - 1 : -1]
 
 
 @dataclass(frozen=True)
@@ -281,25 +352,28 @@ def run_spike_mc(config: SpikeMCConfig) -> SpikeSamples:
                                matrix=sigma.matrix() + signal.gram_m())
         shift = 0.0
 
-    def one(rep):
-        rng = stream(config.master_seed, rep)
-        x = law.sample(rng, (m_dim, n_dim)) / sqrt_n
-        lam = top_eigs(root.sqrt_matmat(x) + shift, r)
-        fluct = sqrt_n * (lam[:k0] - theory.theta) if k0 else np.empty(0)
-        if config.couple_theta and k0:
-            th = (2.0 * sqrt_n * theory.theta_prime
-                  * np.sum((theory.sqrt_sigma_psi @ x) * theory.s_top_psi, axis=1))
-        else:
-            th = None
+    coupled = bool(config.couple_theta and k0)
+
+    def chunk(reps):
+        x = np.empty((len(reps), m_dim, n_dim))
+        for i, rep in enumerate(reps):
+            x[i] = law.sample(stream(config.master_seed, rep), (m_dim, n_dim))
+        x /= sqrt_n
+        y = root.sqrt_matmat(x)
+        y += shift
+        lam = top_eigs(y, r)
+        fluct = sqrt_n * (lam[:, :k0] - theory.theta) if k0 else lam[:, :0]
+        if not coupled:
+            return lam, fluct
+        th = (2.0 * sqrt_n * theory.theta_prime
+              * np.sum((theory.sqrt_sigma_psi @ x) * theory.s_top_psi, axis=-1))
         return lam, fluct, th
 
-    results = parallel_map(one, range(config.reps), config.workers)
-    lambdas = np.array([res[0] for res in results]).reshape(config.reps, r)
-    fluct = np.array([res[1] for res in results]).reshape(config.reps, k0)
-    thetas = (np.array([res[2] for res in results]).reshape(config.reps, k0)
-              if config.couple_theta and k0 else None)
+    lambdas, fluct, *thetas = map_chunks(chunk, config.reps, config.workers,
+                                         rep_bytes(m_dim, n_dim))
     return SpikeSamples(
-        lambdas=lambdas, fluctuations=fluct, theta_samples=thetas,
+        lambdas=lambdas, fluctuations=fluct,
+        theta_samples=thetas[0] if coupled else None,
         rep_ids=np.arange(config.reps), master_seed=config.master_seed,
         model=config.model, config=config, theory=theory,
     )

@@ -26,46 +26,50 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateSpectrumError, DomainError
-from .spectra import CovarianceModel, make_covariance
+from .spectra import CovarianceModel, haar_eigendata, make_covariance
 from .ensemble import (
     NoiseLaw,
     equal_split_labels,
     make_noise_law,
-    parallel_map,
+    map_chunks,
+    rep_bytes,
     stream,
     top_eigs,
 )
 
 
 def ds_rs_stats(eigs, k_star: int):
-    """Both ratio statistics from a descending eigenvalue vector.
+    """Both ratio statistics from descending eigenvalues.
 
-    Returns 0 for a zero numerator (the K* = 1 boundary); raises on a zero
-    denominator with a nonzero numerator (degenerate spectrum).
+    ``eigs`` is one vector, giving two floats, or a stack of shape (..., r),
+    giving two arrays of shape (...).  Returns 0 for a zero numerator (the
+    K* = 1 boundary); raises on a zero denominator (degenerate spectrum).
     """
     eigs = np.asarray(eigs, dtype=float)
     needed = 2 * k_star - 1
-    if eigs.shape[0] < needed:
-        raise DomainError(f"need at least {needed} eigenvalues, got {eigs.shape[0]}")
-    if (np.diff(eigs) > 0).any():
+    if eigs.shape[-1] < needed:
+        raise DomainError(f"need at least {needed} eigenvalues, got {eigs.shape[-1]}")
+    if (np.diff(eigs, axis=-1) > 0).any():
         raise DomainError("eigenvalues must be sorted descending")
-    if k_star == 1:
-        return 0.0, 0.0  # numerator l_1 - l_1 is structurally zero
-    num = eigs[0] - eigs[k_star - 1]
-    den_ds = eigs[k_star - 1] - eigs[2 * k_star - 2]
-    den_rs = eigs[k_star - 1] - eigs[k_star]
-    if den_ds == 0.0 or den_rs == 0.0:
-        raise DegenerateSpectrumError(
-            "tied eigenvalues give a zero denominator in the ratio statistic"
-        )
-    return float(num / den_ds), float(num / den_rs)
+    if k_star == 1:  # numerator l_1 - l_1 is structurally zero
+        ds, rs = np.zeros(eigs.shape[:-1]), np.zeros(eigs.shape[:-1])
+    else:
+        num = eigs[..., 0] - eigs[..., k_star - 1]
+        den_ds = eigs[..., k_star - 1] - eigs[..., 2 * k_star - 2]
+        den_rs = eigs[..., k_star - 1] - eigs[..., k_star]
+        if (den_ds == 0.0).any() or (den_rs == 0.0).any():
+            raise DegenerateSpectrumError(
+                "tied eigenvalues give a zero denominator in the ratio statistic"
+            )
+        ds, rs = num / den_ds, num / den_rs
+    return (float(ds), float(rs)) if eigs.ndim == 1 else (ds, rs)
 
 
 def ds_rs_from_data(data: np.ndarray, k_star: int):
-    """(DS, RS) of an M x N data matrix whose columns are observations: the
-    top 2K*-1 eigenvalues of (data / sqrt(N)) (data / sqrt(N))^T fed to
-    ``ds_rs_stats``."""
-    eigs = top_eigs(data / math.sqrt(data.shape[1]), 2 * k_star - 1)
+    """(DS, RS) of an M x N data matrix whose columns are observations, or of
+    each matrix of a stack (..., M, N): the top 2K*-1 eigenvalues of
+    (data / sqrt(N)) (data / sqrt(N))^T fed to ``ds_rs_stats``."""
+    eigs = top_eigs(data / math.sqrt(data.shape[-1]), 2 * k_star - 1)
     return ds_rs_stats(eigs, k_star)
 
 
@@ -94,9 +98,10 @@ def calibrate(k_star: int, n_star: int, reps: int, quantile: float = 0.95,
     """Calibrate critical values from a null Wishart ensemble.
 
     Each replication draws an n* x n* standard Gaussian matrix through
-    ``draw_data`` and forms both statistics with ``ds_rs_from_data``; the
-    cutoffs are nearest-rank quantiles of the two Monte-Carlo samples.
-    Bit-identical given (all fields, master_seed).
+    ``draw_data`` and forms both statistics with ``ds_rs_from_data``, a
+    chunk of replications at a time; the cutoffs are nearest-rank quantiles
+    of the two Monte-Carlo samples.  Bit-identical given (all fields,
+    master_seed), at any worker count.
     """
     if reps < 100:
         raise ConfigError("calibration needs at least 100 replications")
@@ -106,13 +111,8 @@ def calibrate(k_star: int, n_star: int, reps: int, quantile: float = 0.95,
         raise ConfigError(f"n_star={n_star} is below 2K*-1 = {2 * k_star - 1}")
     null = Scenario(n_star, n_star, make_noise_law("gaussian"),
                     make_covariance("identity", n_star))
-
-    def one(rep):
-        return ds_rs_from_data(draw_data(null, stream(master_seed, rep)), k_star)
-
-    pairs = parallel_map(one, range(reps), workers)
-    ds_vals = [p[0] for p in pairs]
-    rs_vals = [p[1] for p in pairs]
+    ds_vals, rs_vals = _map_draws(null, lambda data: ds_rs_from_data(data, k_star),
+                                  reps, workers, master_seed)
     return CriticalValues(
         k_star=k_star, n_star=n_star, reps=reps, quantile=quantile,
         cv_ds=nearest_rank_quantile(ds_vals, quantile),
@@ -123,16 +123,20 @@ def calibrate(k_star: int, n_star: int, reps: int, quantile: float = 0.95,
 
 @dataclass(frozen=True)
 class DetectionResult:
-    ds: float
-    rs: float
-    reject_ds: bool
-    reject_rs: bool
+    """Both statistics and decisions: scalars for one data matrix, arrays
+    over the leading axes of a stack."""
+
+    ds: float | np.ndarray
+    rs: float | np.ndarray
+    reject_ds: bool | np.ndarray
+    reject_rs: bool | np.ndarray
     k_star: int
 
 
 def detect(data, k_star: int, cv: CriticalValues,
            center: bool = False) -> DetectionResult:
-    """Run both tests on an M x N data matrix (columns are observations).
+    """Run both tests on an M x N data matrix (columns are observations), or
+    on each matrix of a stack (..., M, N).
 
     The statistics come from ``ds_rs_from_data``.  ``center`` subtracts the
     mean observation first (off for table reproduction, which assumes
@@ -142,7 +146,7 @@ def detect(data, k_star: int, cv: CriticalValues,
         raise ConfigError("detection requires k_star >= 2")
     data = np.asarray(data, dtype=float)
     if center:
-        data = data - data.mean(axis=1, keepdims=True)
+        data = data - data.mean(axis=-1, keepdims=True)
     ds, rs = ds_rs_from_data(data, k_star)
     return DetectionResult(ds, rs, ds >= cv.cv_ds, rs >= cv.cv_rs, k_star)
 
@@ -232,8 +236,9 @@ class Scenario:
     """The M x N mixture ``S + Sigma^(1/2) X`` that ``draw_data`` draws.
 
     ``sigma`` is a covariance, or the Unif(a, b) eigenvalue bounds of a Haar
-    covariance redrawn per draw.  Fixed ``centers`` (M x K) win over
-    ``clusters`` >= 2 centres redrawn per draw by ``draw_centers``; else noise.
+    covariance O diag(s) O' redrawn per draw.  Fixed ``centers`` (M x K) win
+    over ``clusters`` >= 2 centres redrawn per draw by ``draw_centers``; else
+    noise.
     """
 
     m: int
@@ -244,31 +249,70 @@ class Scenario:
     center_scale: float = 1.0
     centers: np.ndarray | None = None
 
+    def __post_init__(self):
+        if isinstance(self.sigma, tuple) and not 0 <= self.sigma[0] <= self.sigma[1]:
+            raise ConfigError(f"haar bounds must satisfy 0 <= a <= b, got {self.sigma}")
 
-def draw_data(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
-    """One draw of the scenario's data matrix (columns are observations).
 
-    Consumes ``rng`` in a fixed order: centres, then noise, then the Haar
-    covariance.
+def draw_data(scenario: Scenario, rngs) -> np.ndarray:
+    """A chunk of draws of the scenario's data matrix (columns are
+    observations), one per generator in ``rngs``: shape (len(rngs), M, N).
+
+    Each generator is consumed in a fixed order: centres, then noise, then
+    the Haar covariance's spectrum and Gaussian matrix.  One stacked QR
+    (``haar_eigendata``) builds every Haar basis of the chunk, and stacked
+    products apply the roots, matrix by matrix as a single draw would.
     """
     s = scenario
-    centers = s.centers
-    if centers is None and s.clusters >= 2:
-        centers = draw_centers(s.clusters, s.m, rng, s.center_scale)
-    noise = s.law.sample(rng, (s.m, s.n))
-    sigma = s.sigma
-    if isinstance(sigma, tuple):
-        sigma = make_covariance("haar", s.m, seed=rng, bounds=sigma)
-    data = sigma.sqrt_matmat(noise)
+    haar = isinstance(s.sigma, tuple)
+    redraw_centers = s.centers is None and s.clusters >= 2
+    noise = np.empty((len(rngs), s.m, s.n))
+    if redraw_centers:
+        centers = np.empty((len(rngs), s.m, s.clusters))
+    if haar:
+        spectra = np.empty((len(rngs), s.m))
+        gaussian = np.empty((len(rngs), s.m, s.m))
+    for i, rng in enumerate(rngs):
+        if redraw_centers:
+            centers[i] = draw_centers(s.clusters, s.m, rng, s.center_scale)
+        noise[i] = s.law.sample(rng, (s.m, s.n))
+        if haar:
+            spectra[i] = rng.uniform(*s.sigma, size=s.m)
+            gaussian[i] = rng.standard_normal((s.m, s.m))
+    if haar:
+        values, basis = haar_eigendata(spectra, gaussian)
+        roots = (basis * np.sqrt(values)[:, None, :]) @ np.swapaxes(basis, -1, -2)
+        data = roots @ noise
+    else:
+        data = s.sigma.sqrt_matmat(noise)
+    if not redraw_centers:
+        centers = s.centers
     if centers is not None:
-        data += centers[:, equal_split_labels(s.n, centers.shape[1])]
+        data += centers[..., equal_split_labels(s.n, centers.shape[-1])]
     return data
+
+
+def _map_draws(scenario: Scenario, stats, reps: int, workers, *path: int) -> tuple:
+    """``stats`` of ``reps`` draws of ``scenario``, replication ``rep``
+    drawing from ``stream(*path, rep)``: a chunk of draws at a time
+    (``map_chunks``), concatenated in replication order."""
+    nbytes = rep_bytes(scenario.m, scenario.n)
+    if isinstance(scenario.sigma, tuple):   # the Gaussian matrix, Q factor and root
+        nbytes += 3 * 8 * scenario.m ** 2
+    return map_chunks(
+        lambda block: stats(draw_data(scenario, [stream(*path, rep) for rep in block])),
+        reps, workers, nbytes)
 
 
 def _run_cells(grid, reps, cv, master_seed, workers, clusters=0,
                center_scale=1.0):
     rates_ds = np.empty(len(grid))
     rates_rs = np.empty(len(grid))
+
+    def rejections(data):
+        res = detect(data, cv.k_star, cv)
+        return res.reject_ds, res.reject_rs
+
     for c_idx, cell in enumerate(grid):
         if cell.sigma not in SIGMA_RECIPES:
             raise ConfigError(
@@ -277,15 +321,10 @@ def _run_cells(grid, reps, cv, master_seed, workers, clusters=0,
                  else make_covariance(cell.sigma, cell.m, rho=0.1))
         scenario = Scenario(cell.m, cell.n, make_noise_law(cell.law), sigma,
                             clusters, center_scale)
-
-        def one(rep, _scenario=scenario, _c=c_idx):
-            data = draw_data(_scenario, stream(master_seed, _c, rep))
-            res = detect(data, cv.k_star, cv)
-            return res.reject_ds, res.reject_rs
-
-        outcomes = parallel_map(one, range(reps), workers)
-        rates_ds[c_idx] = sum(o[0] for o in outcomes) / reps if reps else 0.0
-        rates_rs[c_idx] = sum(o[1] for o in outcomes) / reps if reps else 0.0
+        reject_ds, reject_rs = _map_draws(scenario, rejections, reps, workers,
+                                          master_seed, c_idx)
+        rates_ds[c_idx] = np.count_nonzero(reject_ds) / reps if reps else 0.0
+        rates_rs[c_idx] = np.count_nonzero(reject_rs) / reps if reps else 0.0
     return rates_ds, rates_rs
 
 
@@ -312,3 +351,29 @@ def run_power_experiment(clusters: int, grid, reps: int, cv: CriticalValues,
     return ExperimentReport("power", tuple(grid), rates_ds, rates_rs, reps, cv,
                             master_seed, clusters=clusters,
                             center_scale=center_scale)
+
+
+def figure2_samples(reps: int, master_seed: int, workers=None) -> list:
+    """Null and alternative DS/RS samples (K* = 4) behind figure 2.
+
+    For M in (100, 200, 400) (index mi), N = 2M, identity covariance and
+    Gaussian noise, the null is pure noise and the alternative adds the two
+    fixed centres +-1.5 e_1; hypothesis hi (0 null, 1 alt) replication
+    ``rep`` draws from ``stream(master_seed, mi, hi, rep)``.  Returns one
+    (M, hypothesis, ds, rs) per sample, with ``reps``-long arrays.
+    """
+    k_star = 4
+    law = make_noise_law("gaussian")
+    samples = []
+    for mi, m_dim in enumerate((100, 200, 400)):
+        n_dim = 2 * m_dim
+        c1 = np.zeros(m_dim)
+        c1[0] = 1.5
+        sigma = make_covariance("identity", m_dim)
+        for hi, hypothesis in enumerate(("null", "alt")):
+            centers = np.column_stack([c1, -c1]) if hypothesis == "alt" else None
+            scenario = Scenario(m_dim, n_dim, law, sigma, centers=centers)
+            ds, rs = _map_draws(scenario, lambda data: ds_rs_from_data(data, k_star),
+                                reps, workers, master_seed, mi, hi)
+            samples.append((m_dim, hypothesis, ds, rs))
+    return samples

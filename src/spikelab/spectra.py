@@ -32,16 +32,30 @@ if TYPE_CHECKING:
     from .stieltjes import EdgeData   # stieltjes depends on spectra
 
 
-def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw an orthogonal matrix from the Haar measure.
+def haar_orthogonal(gaussian: np.ndarray) -> np.ndarray:
+    """Haar-distributed orthogonal matrices from standard Gaussian ones.
 
-    Sign-corrected QR of a standard Gaussian matrix: multiplying Q's columns
-    by the signs of R's diagonal removes the sign ambiguity that would
-    otherwise bias plain QR away from Haar.
+    Sign-corrected QR of each M x M matrix of ``gaussian`` (one matrix or a
+    stack of shape (..., M, M), factored by one stacked ``qr``): multiplying
+    Q's columns by the signs of R's diagonal removes the sign ambiguity that
+    would otherwise bias plain QR away from Haar.
     """
-    z = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * np.copysign(1.0, np.diag(r))
+    q, r = np.linalg.qr(gaussian)
+    q *= np.copysign(1.0, np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    return q
+
+
+def haar_eigendata(spectrum: np.ndarray, gaussian: np.ndarray):
+    """(values, basis) of the Haar covariance O diag(spectrum) O' with
+    O = ``haar_orthogonal(gaussian)``: the values sorted non-increasing and
+    the basis columns in their order.  One draw, or a stack of them."""
+    order = _stable_descending_order(spectrum)
+    # the columns are gathered as rows of the transpose, so that each basis is
+    # column-major as q[:, order] makes it: products with vectors round by
+    # memory layout
+    rows = np.swapaxes(haar_orthogonal(gaussian), -1, -2)
+    basis = np.swapaxes(np.take_along_axis(rows, order[..., :, None], axis=-2), -1, -2)
+    return np.take_along_axis(spectrum, order, axis=-1), basis
 
 
 @dataclass(frozen=True)
@@ -74,10 +88,11 @@ class CovarianceModel:
         return (self.basis * fn(self.values)) @ self.basis.T
 
     def apply(self, fn, x: np.ndarray) -> np.ndarray:
-        """f(Sigma) x for a vector or a block of columns, without densifying."""
+        """f(Sigma) x for a vector, a block of columns or a stack of blocks,
+        without densifying."""
         vals = fn(self.values)
         if self.basis is None:
-            return vals[:, None] * x if np.ndim(x) == 2 else vals * x
+            return vals[:, None] * x if np.ndim(x) >= 2 else vals * x
         return (self.basis * vals) @ (self.basis.T @ x)
 
     def coordinates(self, x: np.ndarray) -> np.ndarray:
@@ -112,14 +127,16 @@ class CovarianceModel:
         return self.function(np.sqrt)
 
     def sqrt_matmat(self, x: np.ndarray) -> np.ndarray:
-        """Apply Sigma^{1/2} to a vector or a block of columns."""
+        """Apply Sigma^{1/2} to a vector, a block of columns or a stack of
+        blocks."""
         if self.basis is None:
             return self.apply(np.sqrt, x)
         return self.root @ x
 
 
 def _stable_descending_order(values):
-    # argsort on the negated values keeps ties in index order (stable sort)
+    # argsort on the negated values keeps ties in index order (stable sort);
+    # a stack is sorted along its last axis
     return np.argsort(-np.asarray(values), kind="stable")
 
 
@@ -213,9 +230,8 @@ def make_covariance(recipe: str, dim: int, seed=None, **params) -> CovarianceMod
         rng = (seed if isinstance(seed, np.random.Generator) else
                np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))))
         spectrum = rng.uniform(a, b, size=dim)
-        basis = haar_orthogonal(dim, rng)
-        order = _stable_descending_order(spectrum)
-        return CovarianceModel("haar", spectrum[order], basis=basis[:, order])
+        values, basis = haar_eigendata(spectrum, rng.standard_normal((dim, dim)))
+        return CovarianceModel("haar", values, basis=basis)
 
     if recipe == "dense":
         mat = np.asarray(params["matrix"], dtype=float)

@@ -19,9 +19,10 @@ MC_SEED = 20240911
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Shapes of the matrices handed to ``np.linalg.svd``, ``eigh`` and
-    ``eigvalsh`` during a test, one list per function name."""
-    calls = {"svd": [], "eigh": [], "eigvalsh": []}
+    """Shapes of the arrays (one matrix or a stack) handed to
+    ``np.linalg.svd``, ``eigh``, ``eigvalsh`` and ``qr`` during a test, one
+    list per function name."""
+    calls = {"svd": [], "eigh": [], "eigvalsh": [], "qr": []}
 
     def recording(name, solve):
         def counting(a, *args, **kwargs):

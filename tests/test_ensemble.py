@@ -10,13 +10,18 @@ from spikelab.errors import ConfigError, DomainError
 from spikelab.spectra import esd, make_covariance
 from spikelab.stieltjes import find_w_plus
 from spikelab.spikes import SignalModel
+from spikelab import ensemble
 from spikelab.ensemble import (
     SpikeMCConfig,
+    _discrete_sampler,
     empirical_cf_check,
     equal_split_labels,
     exact_even_moments,
     make_noise_law,
     mixture_signal,
+    parallel_map,
+    rep_bytes,
+    rep_chunks,
     run_spike_mc,
     stream,
     top_eigs,
@@ -79,6 +84,84 @@ class TestNoiseLaws:
         assert np.abs(emp - vals).max() < 0.05
 
 
+class _FixedUniforms:
+    """Stands in for a Generator whose ``random`` returns given values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, shape):
+        return self.u.reshape(shape)
+
+
+def _searchsorted_draw(atoms, probs, u):
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    return np.asarray(atoms, dtype=float)[np.searchsorted(cum, u, side="right")]
+
+
+class TestDiscreteSampler:
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=40),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_searchsorted_reference(self, weights, seed):
+        probs = np.asarray(weights) + 1e-3
+        probs /= probs.sum()
+        atoms = np.arange(len(probs)) - 0.5 * len(probs)
+        got = _discrete_sampler(atoms, probs)(stream(seed), (7, 9))
+        want = _searchsorted_draw(atoms, probs, stream(seed).random((7, 9)))
+        assert np.array_equal(got, want)
+
+    def test_uniform_on_a_cumulative_boundary(self):
+        # searchsorted(side="right") puts u == cum[j] above atom j; so must
+        # the sampler, with zero-probability atoms and ties in cum included
+        atoms = [-2.0, -1.0, 0.0, 1.0, 2.0]
+        probs = [0.25, 0.0, 0.5, 0.25, 0.0]
+        cum = np.cumsum(probs)
+        u = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0), [0.0]])
+        u = u[u < 1.0]   # Generator.random draws from [0, 1)
+        got = _discrete_sampler(atoms, probs)(_FixedUniforms(u), u.shape)
+        assert np.array_equal(got, _searchsorted_draw(atoms, probs, u))
+
+
+class TestChunks:
+    def test_pool_is_capped_by_items_and_cpus(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 3)
+        assert parallel_map(lambda x: 2 * x, range(5), workers=100000) == [0, 2, 4, 6, 8]
+        assert parallel_map(lambda x: x, range(2), workers=100000) == [0, 1]
+        assert started == [3, 2]
+
+    def test_chunks_follow_the_capped_pool(self, monkeypatch):
+        monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 3)
+        chunks = rep_chunks(64, 100000, rep_bytes(10, 10))
+        assert [len(c) for c in chunks] == [22, 22, 20]
+        assert [i for c in chunks for i in c] == list(range(64))
+
+    def test_chunks_respect_the_byte_budget(self, monkeypatch):
+        monkeypatch.setattr(ensemble, "CHUNK_BYTES", 5 * rep_bytes(20, 30))
+        chunks = rep_chunks(23, 1, rep_bytes(20, 30))
+        assert [len(c) for c in chunks] == [5, 5, 5, 5, 3]
+        assert rep_chunks(3, 1, 10 * ensemble.CHUNK_BYTES) == [range(0, 1), range(1, 2),
+                                                                range(2, 3)]
+        assert rep_chunks(0, 2, 8) == [range(0, 0)]
+
+
 class TestTopEigs:
     def test_diagonal_case(self):
         y = np.zeros((3, 5))
@@ -98,6 +181,20 @@ class TestTopEigs:
     def test_out_of_range(self):
         with pytest.raises(DomainError):
             top_eigs(np.ones((3, 4)), 4)
+        with pytest.raises(DomainError):
+            top_eigs(np.ones((2, 4, 3)), 4)
+
+    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
+           st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=99))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_matches_single_matrices(self, m, n, batch, seed):
+        # M < N, M = N and M > N take the two Gram branches on a stack
+        y = stream(seed).standard_normal((batch, m, n))
+        r = min(m, n)
+        stacked = top_eigs(y, r)
+        assert stacked.shape == (batch, r)
+        for b in range(batch):
+            assert np.array_equal(stacked[b], top_eigs(y[b], r))
 
     def test_edge_rigidity_band(self):
         # largest undeformed eigenvalue concentrates at the edge at rate N^(-2/3)
@@ -124,6 +221,30 @@ class TestRunSpikeMc:
         threaded = run_spike_mc(SpikeMCConfig(**kw, workers=4))
         assert np.array_equal(serial.lambdas, threaded.lambdas)
         assert np.array_equal(serial.theta_samples, threaded.theta_samples)
+
+    @pytest.mark.parametrize("model", ["additive", "multiplicative"])
+    def test_chunking_leaves_records_unchanged(self, model, monkeypatch):
+        # one replication per chunk versus whole chunks, at one and two workers
+        m, n = 20, 40
+        rng = stream(4)
+        left = np.linalg.qr(rng.standard_normal((m, 2)))[0]
+        right = np.linalg.qr(rng.standard_normal((n, 2)))[0]
+        cfg = dict(sigma=make_covariance("toeplitz", m, rho=0.3),
+                   signal=SignalModel.from_factors(left, [2.5, 2.0], right),
+                   law=make_noise_law("three-point"), reps=11, master_seed=8,
+                   model=model, couple_theta=model == "additive", n_top=3)
+        runs = []
+        for budget in (1, 2**30):
+            monkeypatch.setattr(ensemble, "CHUNK_BYTES", budget)
+            runs += [run_spike_mc(SpikeMCConfig(**cfg, workers=w)) for w in (1, 2)]
+        assert runs[0].fluctuations.shape == (11, 2)
+        for other in runs[1:]:
+            assert np.array_equal(other.lambdas, runs[0].lambdas)
+            assert np.array_equal(other.fluctuations, runs[0].fluctuations)
+            if model == "additive":
+                assert np.array_equal(other.theta_samples, runs[0].theta_samples)
+            else:
+                assert other.theta_samples is None
 
     def test_multiplicative_run_factors_only_its_root(self, eigh_calls):
         # the theory reads Sigma's eigendata and a K x K secular equation; the

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikelab import ensemble
 from spikelab.errors import ConfigError, DegenerateSpectrumError, DomainError
-from spikelab.ensemble import equal_split_labels, make_noise_law, stream
+from spikelab.ensemble import equal_split_labels, make_noise_law, rep_bytes, stream
 from spikelab.hetero import (
     Scenario,
     ScenarioCell,
@@ -15,7 +16,9 @@ from spikelab.hetero import (
     detect,
     draw_centers,
     draw_data,
+    ds_rs_from_data,
     ds_rs_stats,
+    figure2_samples,
     nearest_rank_quantile,
     run_power_experiment,
     run_size_experiment,
@@ -43,6 +46,18 @@ class TestStatistics:
     def test_unsorted_rejected(self):
         with pytest.raises(DomainError):
             ds_rs_stats([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], 4)
+
+    def test_stack_matches_rows(self):
+        eigs = -np.sort(-stream(3).uniform(0.0, 5.0, (6, 7)), axis=1)
+        ds, rs = ds_rs_stats(eigs, 4)
+        assert ds.shape == rs.shape == (6,)
+        for b in range(6):
+            assert ds_rs_stats(eigs[b], 4) == (ds[b], rs[b])
+        assert [a.tolist() for a in ds_rs_stats(eigs[:, :3], 1)] == [[0.0] * 6] * 2
+        tied = eigs.copy()
+        tied[4, 4:] = tied[4, 3]
+        with pytest.raises(DegenerateSpectrumError):
+            ds_rs_stats(tied, 4)
 
     @given(st.integers(min_value=0, max_value=9))
     @settings(max_examples=10, deadline=None)
@@ -83,6 +98,21 @@ class TestCalibration:
         a = calibrate(4, 50, 200, master_seed=6, workers=1)
         b = calibrate(4, 50, 200, master_seed=6, workers=4)
         assert (a.cv_ds, a.cv_rs) == (b.cv_ds, b.cv_rs)
+
+    def test_chunk_budget_irrelevant(self, monkeypatch):
+        runs = []
+        for budget in (1, 2**30):
+            monkeypatch.setattr(ensemble, "CHUNK_BYTES", budget)
+            runs += [calibrate(3, 30, 150, master_seed=9, workers=w) for w in (1, 2)]
+        assert len({(cv.cv_ds, cv.cv_rs) for cv in runs}) == 1
+
+    def test_factors_whole_chunks(self, linalg_calls):
+        calibrate(4, 100, 300, workers=1)
+        shapes = linalg_calls["eigvalsh"]
+        assert sum(shape[0] for shape in shapes) == 300
+        assert all(len(shape) == 3 and shape[0] > 1 and shape[1:] == (100, 100)
+                   for shape in shapes)
+        assert linalg_calls["qr"] == linalg_calls["eigh"] == linalg_calls["svd"] == []
 
     def test_reps_floor(self):
         with pytest.raises(ConfigError):
@@ -131,12 +161,23 @@ class TestDetect:
         with pytest.raises(ConfigError):
             detect(np.ones((10, 20)), 1, cv)
 
+    @pytest.mark.parametrize("center", [False, True])
+    def test_stack_matches_single_matrices(self, cv, center):
+        data = stream(12).standard_normal((5, 30, 45))
+        data[1] += 3.0
+        stacked = detect(data, 4, cv, center=center)
+        for b in range(5):
+            alone = detect(data[b], 4, cv, center=center)
+            assert (alone.ds, alone.rs) == (stacked.ds[b], stacked.rs[b])
+            assert (alone.reject_ds, alone.reject_rs) == (stacked.reject_ds[b],
+                                                          stacked.reject_rs[b])
+
 
 def _haar_three_clusters(m, n, rng):
     centers = draw_centers(3, m, rng, 0.5)
     noise = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), (m, n))
     spectrum = rng.uniform(1.0, 1.5, size=m)
-    basis = haar_orthogonal(m, rng)
+    basis = haar_orthogonal(rng.standard_normal((m, m)))
     sqrt = (basis * np.sqrt(spectrum)) @ basis.T
     scenario = Scenario(m, n, make_noise_law("uniform-sym"), (1.0, 1.5), 3, 0.5)
     return scenario, sqrt @ noise + centers[:, equal_split_labels(n, 3)]
@@ -154,11 +195,40 @@ def _fixed_two_centers(m, n, rng):
 @pytest.mark.parametrize("hand_built", [_haar_three_clusters, _fixed_two_centers])
 def test_draw_data_matches_hand_built_draw(hand_built):
     # pins the stream order (centres, noise, Haar basis) that keeps the
-    # tables and figure 2 on their streams
-    scenario, expected = hand_built(30, 61, stream(40, 2, 7))
-    data = draw_data(scenario, stream(40, 2, 7))
-    assert data.shape == (30, 61)
-    np.testing.assert_allclose(data, expected, rtol=0, atol=1e-12)
+    # tables and figure 2 on their streams: draw i of a chunk reads only
+    # generator i
+    data = draw_data(hand_built(30, 61, stream(40, 2, 0))[0],
+                     [stream(40, 2, rep) for rep in range(3)])
+    assert data.shape == (3, 30, 61)
+    for rep in range(3):
+        _scenario, expected = hand_built(30, 61, stream(40, 2, rep))
+        np.testing.assert_allclose(data[rep], expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [(1.0, 1.5), make_covariance("toeplitz", 12, rho=0.2)])
+def test_draw_data_chunk_is_its_draws(sigma):
+    scenario = Scenario(12, 17, make_noise_law("uniform-sym"), sigma, clusters=2)
+    chunk = draw_data(scenario, [stream(41, rep) for rep in range(4)])
+    for rep in range(4):
+        assert np.array_equal(chunk[rep], draw_data(scenario, [stream(41, rep)])[0])
+
+
+def test_haar_bounds_checked():
+    with pytest.raises(ConfigError):
+        Scenario(5, 8, make_noise_law("gaussian"), (1.5, 1.0))
+
+
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=99))
+@settings(max_examples=40, deadline=None)
+def test_stacked_haar_matches_single_matrices(m, batch, seed):
+    gaussian = stream(seed).standard_normal((batch, m, m))
+    stacked = haar_orthogonal(gaussian)
+    for b in range(batch):
+        # one QR per matrix, Q's columns times the signs of R's diagonal
+        q, r = np.linalg.qr(gaussian[b])
+        assert np.array_equal(stacked[b], q * np.copysign(1.0, np.diag(r)))
+        assert np.array_equal(stacked[b], haar_orthogonal(gaussian[b]))
 
 
 class TestExperiments:
@@ -178,6 +248,40 @@ class TestExperiments:
         b = run_size_experiment(grid, 60, cv, master_seed=13, workers=3)
         assert np.array_equal(a.rates_ds, b.rates_ds)
         assert np.array_equal(a.rates_rs, b.rates_rs)
+
+    @pytest.mark.parametrize("kind", ["size", "power"])
+    def test_chunking_leaves_rates_unchanged(self, kind, monkeypatch):
+        # statistics near the cutoffs make every rejection count
+        grid = default_grid(shapes=((24, 12), (12, 24)))
+        cv = calibrate(4, 12, 200, quantile=0.5, master_seed=18)
+        reports = []
+        for budget in (1, 2**30):
+            monkeypatch.setattr(ensemble, "CHUNK_BYTES", budget)
+            for workers in (1, 2):
+                if kind == "size":
+                    reports.append(run_size_experiment(grid, 9, cv, 19, workers))
+                else:
+                    reports.append(run_power_experiment(2, grid, 9, cv, 19, workers,
+                                                        center_scale=0.3))
+        rates = {(tuple(r.rates_ds), tuple(r.rates_rs)) for r in reports}
+        assert len(rates) == 1
+        assert 0.0 < np.mean(reports[0].rates_ds) < 1.0
+
+    def test_haar_cells_factor_whole_chunks(self, cv, linalg_calls):
+        grid = [ScenarioCell("haar", "gaussian", 40, 20)]
+        run_size_experiment(grid, 7, cv, master_seed=20, workers=1)
+        assert linalg_calls["qr"] == [(7, 20, 20)]
+        assert linalg_calls["eigvalsh"] == [(7, 20, 20)]
+
+    def test_haar_factors_count_toward_the_chunk_budget(self, cv, linalg_calls,
+                                                        monkeypatch):
+        # an M = 20, N = 40 Haar draw holds the ensemble.rep_bytes stacks plus
+        # three 20 x 20 factors: a budget of three such draws (four without
+        # the factors) gives chunks of 3, 3 and 1
+        monkeypatch.setattr(ensemble, "CHUNK_BYTES", 3 * (rep_bytes(20, 40) + 3 * 8 * 20**2))
+        run_size_experiment([ScenarioCell("haar", "gaussian", 40, 20)], 7, cv,
+                            master_seed=20, workers=1)
+        assert [shape[0] for shape in linalg_calls["qr"]] == [3, 3, 1]
 
     def test_power_beats_size(self, cv):
         grid = [ScenarioCell("identity", "gaussian", 200, 100)]
@@ -205,3 +309,23 @@ class TestExperiments:
         assert header[:2] == ["sigma", "statistic"]
         assert len(rows) == 6  # 3 covariance recipes x 2 statistics
         assert len(header) == 2 + 4  # 2 laws x 2 shapes
+
+
+def test_figure2_samples_do_not_depend_on_chunks(monkeypatch):
+    runs = []
+    for budget in (1, 2**30):
+        monkeypatch.setattr(ensemble, "CHUNK_BYTES", budget)
+        runs += [figure2_samples(3, 21, workers) for workers in (1, 2)]
+    first = runs[0]
+    assert [(m, h) for m, h, _ds, _rs in first] == [
+        (m, h) for m in (100, 200, 400) for h in ("null", "alt")]
+    for other in runs[1:]:
+        for (_m, _h, ds, rs), (_m2, _h2, ds2, rs2) in zip(first, other):
+            assert np.array_equal(ds, ds2) and np.array_equal(rs, rs2)
+    # replication 1 of (M = 100, alt) replays from its own stream
+    centers = np.zeros((100, 2))
+    centers[0] = (1.5, -1.5)
+    scenario = Scenario(100, 200, make_noise_law("gaussian"),
+                        make_covariance("identity", 100), centers=centers)
+    alone = ds_rs_from_data(draw_data(scenario, [stream(21, 0, 1, 1)])[0], 4)
+    assert alone == (first[1][2][1], first[1][3][1])

@@ -62,10 +62,26 @@ class TestMakeCovariance:
         basis = cov.basis
         assert np.abs(basis.T @ basis - np.eye(50)).max() < 1e-10
 
+    def test_haar_matches_hand_built_draw(self):
+        # the seed's stream gives the spectrum, then the Gaussian matrix; the
+        # basis columns follow the sorted spectrum and keep the column-major
+        # layout of q[:, order], whose products with vectors round their way
+        m = 30
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(11)))
+        spectrum = rng.uniform(1.0, 1.5, size=m)
+        order = np.argsort(-spectrum, kind="stable")
+        basis = haar_orthogonal(rng.standard_normal((m, m)))[:, order]
+        cov = make_covariance("haar", m, seed=11, bounds=(1.0, 1.5))
+        v = np.linspace(-1.0, 2.0, m)
+        assert np.array_equal(cov.eigenvalues, spectrum[order])
+        assert np.array_equal(cov.basis, basis)
+        assert np.array_equal(cov.coordinates(v), basis.T @ v)
+        assert np.array_equal(cov.from_coordinates(v), basis @ v)
+
     def test_haar_column_statistics(self):
         m = 400
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
-        q = haar_orthogonal(m, rng)
+        q = haar_orthogonal(rng.standard_normal((m, m)))
         col = q[:, 0]
         assert abs(col.mean()) <= 4.0 / math.sqrt(m)
         assert abs(col @ col - 1.0) <= 1e-12
