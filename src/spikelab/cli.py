@@ -73,7 +73,7 @@ _COVARIANCE_SCHEMA = {
                         "dim": {"type": "integer", "minimum": 1},
                         "bounds": {"type": "array", "items": {"type": "number"},
                                    "minItems": 2, "maxItems": 2},
-                        "seed": {"type": "integer"}},
+                        "seed": {"type": "integer", "minimum": 0}},
          "required": ["recipe", "dim", "bounds", "seed"],
          "additionalProperties": False},
         {"properties": {"recipe": {"const": "dense"},
@@ -94,11 +94,11 @@ _SIGNAL_SCHEMA = {
         {"properties": {"kind": {"const": "random-svd"},
                         "strengths": {"type": "array",
                                       "items": {"type": "number"}, "minItems": 1},
-                        "seed": {"type": "integer"}},
+                        "seed": {"type": "integer", "minimum": 0}},
          "required": ["kind", "strengths", "seed"], "additionalProperties": False},
         {"properties": {"kind": {"const": "mixture"},
                         "clusters": {"type": "integer", "minimum": 2, "maximum": 4},
-                        "seed": {"type": "integer"},
+                        "seed": {"type": "integer", "minimum": 0},
                         "scale": {"type": "number"}},
          "required": ["kind", "clusters", "seed"], "additionalProperties": False},
         {"properties": {"kind": {"const": "mixture-explicit"},
@@ -327,6 +327,9 @@ def build_signal(spec: dict, m_dim: int, n_dim: int) -> SignalModel:
     if kind == "random-svd":
         rng = stream(spec["seed"], 0)
         k = len(spec["strengths"])
+        if k > min(m_dim, n_dim):
+            raise ConfigError(f"random-svd has {k} strengths, but a {m_dim}x{n_dim} "
+                              f"signal has rank at most {min(m_dim, n_dim)}")
         left = np.linalg.qr(rng.standard_normal((m_dim, k)))[0]
         right = np.linalg.qr(rng.standard_normal((n_dim, k)))[0]
         return SignalModel.from_factors(left, spec["strengths"], right)

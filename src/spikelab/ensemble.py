@@ -83,7 +83,7 @@ def parallel_map(fn, items, workers=None):
 
 def rep_bytes(m: int, n: int) -> int:
     """Bytes one M x N replication holds in a chunk's stacks: the draw, its
-    rooted (or scaled) copy and the smaller Gram matrix."""
+    factored (or row-scaled) copy and the smaller Gram matrix."""
     return 8 * (2 * m * n + min(m, n) ** 2)
 
 
@@ -226,6 +226,9 @@ def make_noise_law(kind: str, atoms=None, probs=None) -> NoiseLaw:
             raise ConfigError("discrete law requires atoms and probs")
         atoms = np.asarray(atoms, dtype=float)
         probs = np.asarray(probs, dtype=float)
+        if atoms.ndim != 1 or atoms.size == 0 or probs.shape != atoms.shape:
+            raise ConfigError(f"discrete law needs one probability per atom, got "
+                              f"{atoms.size} atoms and {probs.size} probabilities")
         if probs.min() < 0 or abs(math.fsum(probs) - 1.0) > 1e-12:
             raise ConfigError("discrete probabilities must be >= 0 and sum to 1")
         mean = math.fsum(probs * atoms)
@@ -344,9 +347,12 @@ def run_spike_mc(config: SpikeMCConfig) -> SpikeSamples:
                           f"[{k0}, {min(m_dim, n_dim)}]")
     sqrt_n = math.sqrt(n_dim)
 
-    # additive: S + Sigma^(1/2) X; multiplicative: (Sigma + S S^T)^(1/2) X
+    # additive: S + Sigma^(1/2) X; multiplicative: (Sigma + S S^T)^(1/2) X.
+    # Both are drawn in the eigen-coordinates of the covariance under the
+    # root, rotated on the left by V', which keeps the singular values
     if config.model == "additive":
-        root, shift = sigma, signal.dense()
+        root = sigma
+        shift = sigma.coordinates(signal.left * signal.svals) @ signal.right.T
     else:
         root = make_covariance("dense", m_dim,
                                matrix=sigma.matrix() + signal.gram_m())
@@ -359,7 +365,7 @@ def run_spike_mc(config: SpikeMCConfig) -> SpikeSamples:
         for i, rep in enumerate(reps):
             x[i] = law.sample(stream(config.master_seed, rep), (m_dim, n_dim))
         x /= sqrt_n
-        y = root.sqrt_matmat(x)
+        y = root.sqrt_coordinates(x)
         y += shift
         lam = top_eigs(y, r)
         fluct = sqrt_n * (lam[:, :k0] - theory.theta) if k0 else lam[:, :0]
@@ -382,6 +388,8 @@ def run_spike_mc(config: SpikeMCConfig) -> SpikeSamples:
 def equal_split_labels(n_samples: int, n_clusters: int) -> np.ndarray:
     """Deterministic block labels with exact proportions: floor(N/K) per
     cluster, the remainder spread over the leading clusters."""
+    if n_samples < n_clusters:
+        raise ConfigError(f"{n_samples} samples cannot fill {n_clusters} clusters")
     base = n_samples // n_clusters
     counts = np.full(n_clusters, base)
     counts[: n_samples - base * n_clusters] += 1

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateSpectrumError, DomainError
-from .spectra import CovarianceModel, haar_eigendata, make_covariance
+from .spectra import CovarianceModel, haar_orthogonal, make_covariance
 from .ensemble import (
     NoiseLaw,
     equal_split_labels,
@@ -258,10 +258,14 @@ def draw_data(scenario: Scenario, rngs) -> np.ndarray:
     """A chunk of draws of the scenario's data matrix (columns are
     observations), one per generator in ``rngs``: shape (len(rngs), M, N).
 
-    Each generator is consumed in a fixed order: centres, then noise, then
-    the Haar covariance's spectrum and Gaussian matrix.  One stacked QR
-    (``haar_eigendata``) builds every Haar basis of the chunk, and stacked
-    products apply the roots, matrix by matrix as a single draw would.
+    Each draw is returned up to the left rotation V' into the eigen-
+    coordinates of its covariance Sigma = V Lambda V': F X + V' S with
+    F = Lambda^{1/2} V'.  The rotation keeps every singular value, and it
+    commutes with removing the column mean (``detect(center=True)``).  The
+    axis recipes have no V and scale rows.  Each generator is consumed in a
+    fixed order: centres, then noise, then the Haar covariance's spectrum
+    and Gaussian matrix.  One stacked QR builds every Haar basis O of the
+    chunk; each draw then uses F = diag(spectrum)^{1/2} O' unsorted.
     """
     s = scenario
     haar = isinstance(s.sigma, tuple)
@@ -279,14 +283,17 @@ def draw_data(scenario: Scenario, rngs) -> np.ndarray:
         if haar:
             spectra[i] = rng.uniform(*s.sigma, size=s.m)
             gaussian[i] = rng.standard_normal((s.m, s.m))
-    if haar:
-        values, basis = haar_eigendata(spectra, gaussian)
-        roots = (basis * np.sqrt(values)[:, None, :]) @ np.swapaxes(basis, -1, -2)
-        data = roots @ noise
-    else:
-        data = s.sigma.sqrt_matmat(noise)
     if not redraw_centers:
         centers = s.centers
+    if haar:
+        rotation = np.swapaxes(haar_orthogonal(gaussian), -1, -2)   # O'
+        data = np.multiply(np.sqrt(spectra)[..., None], rotation, order="C") @ noise
+        if centers is not None:
+            centers = rotation @ centers
+    else:
+        data = s.sigma.sqrt_coordinates(noise)
+        if centers is not None:
+            centers = s.sigma.coordinates(centers)
     if centers is not None:
         data += centers[..., equal_split_labels(s.n, centers.shape[-1])]
     return data
@@ -297,7 +304,7 @@ def _map_draws(scenario: Scenario, stats, reps: int, workers, *path: int) -> tup
     drawing from ``stream(*path, rep)``: a chunk of draws at a time
     (``map_chunks``), concatenated in replication order."""
     nbytes = rep_bytes(scenario.m, scenario.n)
-    if isinstance(scenario.sigma, tuple):   # the Gaussian matrix, Q factor and root
+    if isinstance(scenario.sigma, tuple):   # the Gaussian matrix, O' and F
         nbytes += 3 * 8 * scenario.m ** 2
     return map_chunks(
         lambda block: stats(draw_data(scenario, [stream(*path, rep) for rep in block])),

@@ -7,7 +7,10 @@ elementwise functions f(Sigma), either dense (``function``), applied to a
 vector or a block of columns (``apply``: Sigma, Sigma^{1/2} X, the local-law
 Pi(z)) or as a diagonal (``diagonal``), and V'x and back (``coordinates``,
 ``from_coordinates``, which the secular equation of the deformed population
-reads).  Supported recipes:
+reads).  No dense Sigma^{1/2} is formed: the Monte-Carlo draws apply the
+factor F = Lambda^{1/2} V' (``factor``, ``sqrt_coordinates``), which gives
+Sigma^{1/2} X up to the left rotation V', a rotation that leaves the
+singular values unchanged.  Supported recipes:
 
   identity        Sigma = I
   diagonal        explicit diagonal entries
@@ -48,14 +51,12 @@ def haar_orthogonal(gaussian: np.ndarray) -> np.ndarray:
 def haar_eigendata(spectrum: np.ndarray, gaussian: np.ndarray):
     """(values, basis) of the Haar covariance O diag(spectrum) O' with
     O = ``haar_orthogonal(gaussian)``: the values sorted non-increasing and
-    the basis columns in their order.  One draw, or a stack of them."""
+    the basis columns in their order, as ``make_covariance("haar")`` stores
+    them.  A Monte-Carlo draw (``hetero.draw_data``) needs no sort: it
+    applies diag(spectrum)^{1/2} O' straight from the QR, since the order of
+    the rows does not change the Gram matrix's eigenvalues."""
     order = _stable_descending_order(spectrum)
-    # the columns are gathered as rows of the transpose, so that each basis is
-    # column-major as q[:, order] makes it: products with vectors round by
-    # memory layout
-    rows = np.swapaxes(haar_orthogonal(gaussian), -1, -2)
-    basis = np.swapaxes(np.take_along_axis(rows, order[..., :, None], axis=-2), -1, -2)
-    return np.take_along_axis(spectrum, order, axis=-1), basis
+    return spectrum[order], haar_orthogonal(gaussian)[:, order]
 
 
 @dataclass(frozen=True)
@@ -121,17 +122,27 @@ class CovarianceModel:
         """Apply Sigma to a vector or a block of columns."""
         return self.apply(lambda vals: vals, v)
 
-    @cached_property
-    def root(self) -> np.ndarray:
-        """The symmetric PSD square root, built on first use."""
-        return self.function(np.sqrt)
-
     def sqrt_matmat(self, x: np.ndarray) -> np.ndarray:
         """Apply Sigma^{1/2} to a vector, a block of columns or a stack of
-        blocks."""
+        blocks, in storage coordinates."""
+        return self.apply(np.sqrt, x)
+
+    @cached_property
+    def factor(self) -> np.ndarray | None:
+        """F = Lambda^{1/2} V', with F'F = Sigma, built in O(M^2) on first
+        use; None for the axis recipes, which scale rows instead."""
+        if self.basis is None:
+            return None
+        return np.multiply(np.sqrt(self.values)[:, None], self.basis.T, order="C")
+
+    def sqrt_coordinates(self, x: np.ndarray) -> np.ndarray:
+        """V' Sigma^{1/2} x = F x for a vector, a block of columns or a stack
+        of blocks: Sigma^{1/2} x up to the left rotation V', which keeps the
+        singular values.  The axis recipes scale rows, as ``sqrt_matmat``
+        does."""
         if self.basis is None:
             return self.apply(np.sqrt, x)
-        return self.root @ x
+        return self.factor @ x
 
 
 def _stable_descending_order(values):

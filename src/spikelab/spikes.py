@@ -21,6 +21,8 @@ from .spectra import CovarianceModel, esd
 from .stieltjes import EdgeData, find_w_plus, theta_map
 
 MAX_RANK = 64
+# the largest spike whose Gaussian variance (about 2 sigma_tilde^2) is finite
+_SIGMA_TILDE_MAX = math.sqrt(np.finfo(float).max) / 2.0
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ class SignalModel:
         b = np.atleast_2d(np.asarray(b, dtype=float))
         qa, ra = np.linalg.qr(a)
         qb, rb = np.linalg.qr(b)
-        u0, d, v0t = np.linalg.svd(ra @ rb.T)
+        u0, d, v0t = np.linalg.svd(ra @ rb.T, full_matrices=False)
         keep = d > (rank_tol * d[0] if d.size and d[0] > 0 else 0.0)
         return cls(qa @ u0[:, keep], d[keep], qb @ v0t[keep].T)
 
@@ -197,6 +199,9 @@ def secular_values(lam, z_plus, z_minus, n):
     reach = np.linalg.svd(z_plus, compute_uv=False) ** 2
     drop = float(np.sum(z_minus**2))   # ||Z-||_F^2 >= ||Z- Z-'||
     scale = abs(base[0]) + reach.max(initial=0.0)
+    if not scale + drop < np.finfo(float).max / 4:   # keeps lo + hi finite below
+        raise NumericalError(f"eigenvalue scale {scale + drop:.6g} is too large "
+                             "to bisect in float64")
     tol = 4.0 * _EPS * scale
     gap = math.sqrt(_EPS) * scale   # how close to a pole A(x) is still read
     vals = np.empty(n)
@@ -347,6 +352,9 @@ def asymptotic_quantities(sigma: CovarianceModel, signal: SignalModel,
     """
     if pop.K0 < 1:
         raise DomainError("no supercritical spike: K0 = 0")
+    if pop.sigma_tilde[0] > _SIGMA_TILDE_MAX:
+        raise NumericalError(f"spike {pop.sigma_tilde[0]:.6g} is too strong: its "
+                             "Gaussian variance 2 sigma_tilde^2 overflows float64")
     k0 = pop.K0
     kappa3, kappa4 = law.kappa3, law.kappa4
 

@@ -17,6 +17,7 @@ eigenvalue atoms only; no matrix inverses are formed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,17 +147,18 @@ def solve_m(z: float, edge: EdgeData) -> float:
             f"z={z!r} is not above the spectral edge {edge.lambda_plus!r}"
         )
 
-    # f is increasing from lambda_plus to +inf on (w_plus, 0)
+    # f is increasing from lambda_plus to +inf on (w_plus, 0); bisect until
+    # the bracket is a few ulps of m wide or its midpoint is an endpoint
     lo = edge.w_plus * (1.0 - 1e-12)
     hi = -1e-30
     for _ in range(120):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi) or hi - lo <= 4.0 * math.ulp(mid):
+            break
         if f_eval(mid, nu, phi)[0] < z:
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-18 * abs(edge.w_plus):
-            break
 
     m = 0.5 * (lo + hi)
     tol = 1e-10 * max(1.0, abs(z))

@@ -9,6 +9,7 @@ import pytest
 
 from spikelab import spikes, stieltjes
 from spikelab.cli import CONFIG_SCHEMAS, OutputSession, main
+from spikelab.spectra import CovarianceModel
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -55,6 +56,23 @@ class TestTheory:
             THEORY_CFG, covariance={"recipe": "toeplitz", "dim": 200, "rho": 0.1}))
         assert main(["theory", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert all(max(shape) == 1 for shape in eigh_calls)
+
+    def test_toeplitz_report_forms_no_dense_function(self, tmp_path, monkeypatch):
+        # Sigma^(1/2) psi goes through Sigma's spectral form, never a dense M x M
+        calls = []
+        dense = CovarianceModel.function
+
+        def counting(self, fn):
+            calls.append(fn)
+            return dense(self, fn)
+
+        monkeypatch.setattr(CovarianceModel, "function", counting)
+        cfg = write_config(tmp_path, {
+            "covariance": {"recipe": "toeplitz", "dim": 800, "rho": 0.2},
+            "signal": {"kind": "random-svd", "strengths": [3.0, 2.5, 2.0], "seed": 7},
+            "samples": 1600})
+        assert main(["theory", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert calls == []
 
     def test_one_bulk_solve_per_call(self, tmp_path, monkeypatch):
         # deform solves the noise bulk once; the assumption checks read it
@@ -349,6 +367,30 @@ def test_misshapen_config_array_is_config_error(tmp_path, capsys, covariance, si
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert message in err and not out.exists()
+
+
+@pytest.mark.parametrize("cfg, code, message", [
+    (dict(THEORY_CFG, noise={"kind": "discrete", "atoms": [-1, 0, 1], "probs": [0.5, 0.5]}),
+     1, "config error: discrete law needs one probability per atom"),
+    (dict(THEORY_CFG, covariance={"recipe": "identity", "dim": 3},
+          signal={"kind": "random-svd", "strengths": [3, 2, 1.5, 1.2], "seed": 7}),
+     1, "config error: random-svd has 4 strengths"),
+    (dict(THEORY_CFG, signal={"kind": "mixture", "clusters": 3, "seed": 1}, samples=2),
+     1, "config error: 2 samples cannot fill 3 clusters"),
+    (dict(THEORY_CFG, signal={"kind": "random-svd", "strengths": [3], "seed": -1}),
+     1, "config error: config field signal:"),
+    (dict(THEORY_CFG, covariance={"recipe": "haar", "dim": 20, "bounds": [1, 2], "seed": -1}),
+     1, "config error: config field covariance:"),
+    (dict(THEORY_CFG, signal={"kind": "localized", "strength_sq": 1e300}),
+     2, "numerical failure: spike 1e+300 is too strong"),
+], ids=["discrete-lengths", "strengths-above-dim", "samples-below-clusters",
+        "negative-signal-seed", "negative-haar-seed", "overflowing-strength"])
+def test_bad_theory_config_exits_with_one_line(tmp_path, capsys, cfg, code, message):
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["theory", "--config", path, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1 and not out.exists()
 
 
 def test_output_session_removes_partial_files(tmp_path):

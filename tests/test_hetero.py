@@ -180,7 +180,8 @@ def _haar_three_clusters(m, n, rng):
     basis = haar_orthogonal(rng.standard_normal((m, m)))
     sqrt = (basis * np.sqrt(spectrum)) @ basis.T
     scenario = Scenario(m, n, make_noise_law("uniform-sym"), (1.0, 1.5), 3, 0.5)
-    return scenario, sqrt @ noise + centers[:, equal_split_labels(n, 3)]
+    # draw_data returns the draw rotated into its basis, by the basis' Q'
+    return scenario, basis.T @ (sqrt @ noise + centers[:, equal_split_labels(n, 3)])
 
 
 def _fixed_two_centers(m, n, rng):
@@ -192,7 +193,18 @@ def _fixed_two_centers(m, n, rng):
     return scenario, noise + centers[:, equal_split_labels(n, 2)]
 
 
-@pytest.mark.parametrize("hand_built", [_haar_three_clusters, _fixed_two_centers])
+def _toeplitz_two_clusters(m, n, rng):
+    centers = draw_centers(2, m, rng, 1.0)
+    noise = rng.standard_normal((m, n))
+    sigma = make_covariance("toeplitz", m, rho=0.3)
+    scenario = Scenario(m, n, make_noise_law("gaussian"), sigma, 2)
+    # rotated by the basis' V', as draw_data returns it
+    return scenario, sigma.basis.T @ (sigma.function(np.sqrt) @ noise
+                                      + centers[:, equal_split_labels(n, 2)])
+
+
+@pytest.mark.parametrize("hand_built", [_haar_three_clusters, _fixed_two_centers,
+                                        _toeplitz_two_clusters])
 def test_draw_data_matches_hand_built_draw(hand_built):
     # pins the stream order (centres, noise, Haar basis) that keeps the
     # tables and figure 2 on their streams: draw i of a chunk reads only

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikelab.ensemble import top_eigs
 from spikelab.errors import DomainError
 from spikelab.spectra import (
     check_assumptions,
@@ -14,6 +15,9 @@ from spikelab.spectra import (
     make_covariance,
 )
 from spikelab.stieltjes import find_w_plus
+
+
+EPS = np.finfo(float).eps
 
 
 def toeplitz3_eigenvalues():
@@ -99,7 +103,8 @@ class TestMakeCovariance:
         if cov.basis is not None:
             rebuilt = (cov.basis * cov.eigenvalues) @ cov.basis.T
             assert np.abs(rebuilt - cov.matrix()).max() <= 1e-9 * top
-            assert np.array_equal(cov.root, cov.function(np.sqrt))
+            # the Monte-Carlo factor F = Lambda^(1/2) V'
+            assert np.abs(cov.factor.T @ cov.factor - cov.matrix()).max() <= 1e-10 * top
         root = cov.function(np.sqrt)
         assert np.abs(root @ root - cov.matrix()).max() <= 1e-10 * top
 
@@ -112,7 +117,7 @@ class TestMakeCovariance:
         a = make_covariance("haar", 30, seed=9, bounds=(1.0, 2.0))
         b = make_covariance("haar", 30, seed=9, bounds=(1.0, 2.0))
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        assert np.array_equal(a.root, b.root)
+        assert np.array_equal(a.factor, b.factor)
 
 
 # recipe -> strategy for its make_covariance keyword arguments at a given dim;
@@ -180,6 +185,25 @@ class TestFunction:
                     got[name], want, rtol=0,
                     atol=1e-12 * dim * max(np.abs(mat).max(), 1.0) * np.abs(x).max(),
                     err_msg=f"{name} on shape {shape}")
+
+
+@pytest.mark.parametrize("recipe", sorted(RECIPE_PARAMS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_coordinate_draw_keeps_the_top_eigenvalues(recipe, data):
+    # F X + V'S is V'(Sigma^(1/2) X + S): the left rotation keeps the
+    # singular values, so top_eigs agrees with the storage-coordinate draw
+    dim = data.draw(st.integers(1, 12))
+    n = data.draw(st.integers(1, 16))
+    cov = make_covariance(recipe, dim, **data.draw(RECIPE_PARAMS[recipe](dim)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    x = rng.standard_normal((dim, n))
+    s = rng.standard_normal((dim, n))
+    r = min(dim, n)
+    want = top_eigs(cov.function(np.sqrt) @ x + s, r)
+    got = top_eigs(cov.sqrt_coordinates(x) + cov.coordinates(s), r)
+    # each side carries a few eps * lambda_1 (about 10 at dim 12)
+    np.testing.assert_allclose(got, want, rtol=0, atol=32 * EPS * want[0])
 
 
 class TestEsd:

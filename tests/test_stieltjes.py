@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikelab import stieltjes
 from spikelab.errors import DomainError, SubcriticalError
 from spikelab.spectra import SpectralDistribution, esd, make_covariance
 from spikelab.stieltjes import (
@@ -112,6 +113,28 @@ class TestSolveM:
         edge = find_w_plus(ISO, 0.5)
         with pytest.raises(DomainError):
             solve_m(edge.lambda_plus - 0.1, edge)
+
+    # m(lambda_plus + 0.5), m(lambda_plus + 2) and m(10) as the bisection
+    # gave them when it ran its full 120 steps
+    @pytest.mark.parametrize("nu, reference", [
+        (ISO, (-0.3843007326226502, -0.23469326119387474, -0.10592363464399476)),
+        (TWO_ATOM, (-0.24656185145049792, -0.17213051431468374, -0.11015929484493833)),
+    ], ids=["isotropic", "two-atom"])
+    def test_bisection_stops_at_the_ulp(self, nu, reference, monkeypatch):
+        edge = find_w_plus(nu, 0.5)
+        calls = []
+        evaluate = stieltjes.f_eval
+
+        def counting(*args):
+            calls.append(args[0])
+            return evaluate(*args)
+
+        monkeypatch.setattr(stieltjes, "f_eval", counting)
+        for z, m_ref in zip((edge.lambda_plus + 0.5, edge.lambda_plus + 2.0, 10.0),
+                            reference):
+            calls.clear()
+            assert solve_m(z, edge) == pytest.approx(m_ref, rel=1e-14, abs=0)
+            assert len(calls) <= 64
 
     def test_monotone_in_z(self):
         edge = find_w_plus(TWO_ATOM, 0.7)
