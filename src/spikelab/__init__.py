@@ -16,7 +16,6 @@ from .stieltjes import (
     EdgeData,
     f_eval,
     find_w_plus,
-    m_derivative_and_divided_difference,
     solve_m,
     theta_map,
 )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -24,7 +25,7 @@ import warnings
 import numpy as np
 import jsonschema
 
-from .errors import ConfigError, SpikelabError
+from .errors import ConfigError, SpikelabError, VerificationFailure
 from .spectra import check_assumptions, make_covariance
 from .spikes import (
     SignalModel,
@@ -55,71 +56,71 @@ from .verification import jsonable, run_verification
 
 # -- config schemas -------------------------------------------------------
 
-_COVARIANCE_SCHEMA = {
-    "type": "object",
-    "oneOf": [
-        {"properties": {"recipe": {"const": "identity"},
-                        "dim": {"type": "integer", "minimum": 1}},
-         "required": ["recipe", "dim"], "additionalProperties": False},
-        {"properties": {"recipe": {"const": "diagonal"},
-                        "dim": {"type": "integer", "minimum": 1},
-                        "entries": {"type": "array", "items": {"type": "number"}}},
-         "required": ["recipe", "dim", "entries"], "additionalProperties": False},
-        {"properties": {"recipe": {"const": "toeplitz"},
-                        "dim": {"type": "integer", "minimum": 1},
-                        "rho": {"type": "number"}},
-         "required": ["recipe", "dim", "rho"], "additionalProperties": False},
-        {"properties": {"recipe": {"const": "haar"},
-                        "dim": {"type": "integer", "minimum": 1},
-                        "bounds": {"type": "array", "items": {"type": "number"},
-                                   "minItems": 2, "maxItems": 2},
-                        "seed": {"type": "integer", "minimum": 0}},
-         "required": ["recipe", "dim", "bounds", "seed"],
-         "additionalProperties": False},
-        {"properties": {"recipe": {"const": "dense"},
-                        "dim": {"type": "integer", "minimum": 1},
-                        "matrix": {"type": "array"}},
-         "required": ["recipe", "dim", "matrix"], "additionalProperties": False},
-    ],
-}
 
-_SIGNAL_SCHEMA = {
-    "type": "object",
-    "oneOf": [
-        {"properties": {"kind": {"const": "localized"},
-                        "strength_sq": {"type": "number", "exclusiveMinimum": 0},
-                        "row": {"type": "integer", "minimum": 0},
-                        "col": {"type": "integer", "minimum": 0}},
-         "required": ["kind", "strength_sq"], "additionalProperties": False},
-        {"properties": {"kind": {"const": "random-svd"},
-                        "strengths": {"type": "array",
-                                      "items": {"type": "number"}, "minItems": 1},
-                        "seed": {"type": "integer", "minimum": 0}},
-         "required": ["kind", "strengths", "seed"], "additionalProperties": False},
-        {"properties": {"kind": {"const": "mixture"},
-                        "clusters": {"type": "integer", "minimum": 2, "maximum": 4},
-                        "seed": {"type": "integer", "minimum": 0},
-                        "scale": {"type": "number"}},
-         "required": ["kind", "clusters", "seed"], "additionalProperties": False},
-        {"properties": {"kind": {"const": "mixture-explicit"},
-                        "centers": {"type": "array"},
-                        "assignment": {"type": "string"}},
-         "required": ["kind", "centers"], "additionalProperties": False},
-    ],
-}
+def _tagged(key: str, variants: dict) -> dict:
+    """Schema of a block whose ``key`` names one of ``variants`` (tag ->
+    (properties, required keys)), each variant admitting only its own keys.
 
-_NOISE_SCHEMA = {
-    "type": "object",
-    "oneOf": [
-        {"properties": {"kind": {"enum": ["gaussian", "uniform-sym", "three-point",
-                                          "four-point", "shifted-exponential"]}},
-         "required": ["kind"], "additionalProperties": False},
-        {"properties": {"kind": {"const": "discrete"},
-                        "atoms": {"type": "array", "items": {"type": "number"}},
-                        "probs": {"type": "array", "items": {"type": "number"}}},
-         "required": ["kind", "atoms", "probs"], "additionalProperties": False},
-    ],
-}
+    One if/then per tag, rather than a oneOf, lets a bad value inside a
+    block report its own field instead of "not valid under any of the given
+    schemas".
+    """
+    return {
+        "type": "object",
+        "properties": {key: {"enum": list(variants)}},
+        "required": [key],
+        "allOf": [
+            {"if": {"properties": {key: {"const": tag}}, "required": [key]},
+             "then": {"properties": {key: True, **props},
+                      "required": [key, *required], "additionalProperties": False}}
+            for tag, (props, required) in variants.items()
+        ],
+    }
+
+
+_COVARIANCE_SCHEMA = _tagged("recipe", {
+    "identity": ({"dim": {"type": "integer", "minimum": 1}}, ["dim"]),
+    "diagonal": ({"dim": {"type": "integer", "minimum": 1},
+                  "entries": {"type": "array", "items": {"type": "number"}}},
+                 ["dim", "entries"]),
+    "toeplitz": ({"dim": {"type": "integer", "minimum": 1},
+                  "rho": {"type": "number"}},
+                 ["dim", "rho"]),
+    "haar": ({"dim": {"type": "integer", "minimum": 1},
+              "bounds": {"type": "array", "items": {"type": "number"},
+                         "minItems": 2, "maxItems": 2},
+              "seed": {"type": "integer", "minimum": 0}},
+             ["dim", "bounds", "seed"]),
+    "dense": ({"dim": {"type": "integer", "minimum": 1},
+               "matrix": {"type": "array"}},
+              ["dim", "matrix"]),
+})
+
+_SIGNAL_SCHEMA = _tagged("kind", {
+    "localized": ({"strength_sq": {"type": "number", "exclusiveMinimum": 0},
+                   "row": {"type": "integer", "minimum": 0},
+                   "col": {"type": "integer", "minimum": 0}},
+                  ["strength_sq"]),
+    "random-svd": ({"strengths": {"type": "array",
+                                  "items": {"type": "number"}, "minItems": 1},
+                    "seed": {"type": "integer", "minimum": 0}},
+                   ["strengths", "seed"]),
+    "mixture": ({"clusters": {"type": "integer", "minimum": 2, "maximum": 4},
+                 "seed": {"type": "integer", "minimum": 0},
+                 "scale": {"type": "number"}},
+                ["clusters", "seed"]),
+    "mixture-explicit": ({"centers": {"type": "array"},
+                          "assignment": {"type": "string"}},
+                         ["centers"]),
+})
+
+_NOISE_SCHEMA = _tagged("kind", {
+    **{kind: ({}, []) for kind in ("gaussian", "uniform-sym", "three-point",
+                                    "four-point", "shifted-exponential")},
+    "discrete": ({"atoms": {"type": "array", "items": {"type": "number"}},
+                  "probs": {"type": "array", "items": {"type": "number"}}},
+                 ["atoms", "probs"]),
+})
 
 _CALIBRATION_SCHEMA = {
     "type": "object",
@@ -138,29 +139,25 @@ _CALIBRATION_SCHEMA = {
 _SEED = {"master_seed": {"type": "integer", "minimum": 0}}
 _PRECISION = {"precision": {"type": "integer", "minimum": 1, "maximum": 17}}
 _THREADS = {"threads": {"type": "integer", "minimum": 1}}
+_MODEL = {
+    "covariance": _COVARIANCE_SCHEMA,
+    "signal": _SIGNAL_SCHEMA,
+    "noise": _NOISE_SCHEMA,
+    "samples": {"type": "integer", "minimum": 1},
+    "tau": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+}
 
 CONFIG_SCHEMAS = {
     "theory": {
         "type": "object",
-        "properties": {
-            "covariance": _COVARIANCE_SCHEMA,
-            "signal": _SIGNAL_SCHEMA,
-            "noise": _NOISE_SCHEMA,
-            "samples": {"type": "integer", "minimum": 1},
-            "tau": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            **_PRECISION,
-        },
+        "properties": {**_MODEL, **_PRECISION},
         "required": ["covariance", "signal", "samples"],
         "additionalProperties": False,
     },
     "simulate": {
         "type": "object",
         "properties": {
-            "covariance": _COVARIANCE_SCHEMA,
-            "signal": _SIGNAL_SCHEMA,
-            "noise": _NOISE_SCHEMA,
-            "samples": {"type": "integer", "minimum": 1},
-            "tau": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+            **_MODEL,
             "reps": {"type": "integer", "minimum": 1},
             "model": {"enum": ["additive", "multiplicative"]},
             "couple_theta": {"type": "boolean"},
@@ -254,10 +251,6 @@ _FLAG_KEYS = {"seed": "master_seed", "reps": "reps", "threads": "threads",
               "kstar": "k_star", "nstar": "n_star", "quantile": "quantile",
               "target": "target", "scale": "scale", "n": "samples",
               "seeds": "seeds"}
-
-
-class VerificationFailure(SpikelabError):
-    pass
 
 
 def load_config(args) -> dict:
@@ -359,7 +352,8 @@ def build_noise(spec: dict | None):
 
 class OutputSession:
     """Tracks files written by one command; used as a context manager, it
-    removes them when the block raises."""
+    removes them when the block raises, except on a ``VerificationFailure``,
+    whose report is the result."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
@@ -389,7 +383,7 @@ class OutputSession:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None:
+        if exc_type is not None and not issubclass(exc_type, VerificationFailure):
             for p in self.paths:
                 with contextlib.suppress(OSError):
                     os.remove(p)
@@ -406,11 +400,11 @@ def _meta(cfg: dict, t0: float) -> dict:
 
 
 # -- subcommand handlers --------------------------------------------------
+# Each takes the validated config, the command's OutputSession and the start
+# time ``main`` read after loading the config; it computes, writes, prints.
 
 
-def cmd_theory(args) -> int:
-    cfg = load_config(args)
-    t0 = time.perf_counter()
+def cmd_theory(cfg: dict, session: OutputSession, t0: float):
     sigma = build_covariance(cfg["covariance"])
     n_dim = cfg["samples"]
     signal = build_signal(cfg["signal"], sigma.dim, n_dim)
@@ -457,16 +451,11 @@ def cmd_theory(args) -> int:
                 "s_top_psi_sup": profile[:, 1],
             },
         })
-    with OutputSession(args.out) as session:
-        p = session.write_json("theory_report.json", {
-            "report": jsonable(report, sig_digits), "meta": _meta(cfg, t0)})
-    print(p)
-    return 0
+    print(session.write_json("theory_report.json", {
+        "report": jsonable(report, sig_digits), "meta": _meta(cfg, t0)}))
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args)
-    t0 = time.perf_counter()
+def cmd_simulate(cfg: dict, session: OutputSession, t0: float):
     sigma = build_covariance(cfg["covariance"])
     n_dim = cfg["samples"]
     signal = build_signal(cfg["signal"], sigma.dim, n_dim)
@@ -480,15 +469,13 @@ def cmd_simulate(args) -> int:
         workers=cfg.get("threads"),
     )
     samples = run_spike_mc(mc)
-    with OutputSession(args.out) as session:
-        csv_path = session.path("spike_samples.csv")
-        samples.to_csv(csv_path, precision=cfg.get("precision", 10))
-        meta = _meta(cfg, t0)
-        meta["theta"] = jsonable(samples.theory.theta) if samples.theory else None
-        meta["K0"] = int(samples.fluctuations.shape[1])
-        session.write_json("spike_samples.meta.json", meta)
+    csv_path = session.path("spike_samples.csv")
+    samples.to_csv(csv_path, precision=cfg.get("precision", 10))
+    meta = _meta(cfg, t0)
+    meta["theta"] = jsonable(samples.theory.theta) if samples.theory else None
+    meta["K0"] = int(samples.fluctuations.shape[1])
+    session.write_json("spike_samples.meta.json", meta)
     print(csv_path)
-    return 0
 
 
 def _histogram_rows(values: np.ndarray, sig_digits: int) -> list:
@@ -509,13 +496,8 @@ def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(ks_2samp(a, b).statistic)
 
 
-def cmd_nonuniversality(args) -> int:
-    cfg = load_config(args)
-    t0 = time.perf_counter()
-    with OutputSession(args.out) as session:
-        hist_path = _nonuniversality(session, cfg, cfg.get("reps", 2000), t0)
-    print(hist_path)
-    return 0
+def cmd_nonuniversality(cfg: dict, session: OutputSession, t0: float):
+    print(_nonuniversality(session, cfg, cfg.get("reps", 2000), t0))
 
 
 def _nonuniversality(session, cfg, reps, t0):
@@ -552,22 +534,17 @@ def _nonuniversality(session, cfg, reps, t0):
     return hist_path
 
 
-def cmd_calibrate(args) -> int:
-    cfg = load_config(args)
-    t0 = time.perf_counter()
+def cmd_calibrate(cfg: dict, session: OutputSession, t0: float):
     cv = calibrate(cfg["k_star"], cfg["n_star"], cfg["reps"],
                    cfg.get("quantile", 0.95), cfg.get("master_seed", 0),
                    workers=cfg.get("threads"))
-    with OutputSession(args.out) as session:
-        p = session.write_json("critical_values.json",
-                               {"critical_values": jsonable(vars(cv)),
-                                "meta": _meta(cfg, t0)})
-    print(p)
+    print(session.write_json("critical_values.json",
+                             {"critical_values": jsonable(vars(cv)),
+                              "meta": _meta(cfg, t0)}))
     print(f"cv_DS={cv.cv_ds:.6g} cv_RS={cv.cv_rs:.6g}")
-    return 0
 
 
-def _critical_values_from_cfg(cfg: dict, threads=None) -> CriticalValues:
+def _critical_values_from_cfg(cfg: dict) -> CriticalValues:
     if "critical_values" in cfg:
         cvs = cfg["critical_values"]
         return CriticalValues(k_star=cfg["k_star"], n_star=0, reps=0,
@@ -576,12 +553,10 @@ def _critical_values_from_cfg(cfg: dict, threads=None) -> CriticalValues:
     cal = {**_DEFAULT_CALIBRATION, **cfg.get("calibration", {})}
     k_star = cfg.get("k_star", cal["k_star"])
     return calibrate(k_star, cal["n_star"], cal["reps"],
-                     cal["quantile"], cal["master_seed"], workers=threads)
+                     cal["quantile"], cal["master_seed"], workers=cfg.get("threads"))
 
 
-def cmd_test(args) -> int:
-    cfg = load_config(args)
-    t0 = time.perf_counter()
+def cmd_test(cfg: dict, session: OutputSession, t0: float):
     if "data_csv" in cfg:
         data = _load_data_csv(cfg["data_csv"])
     elif "generate" in cfg:
@@ -596,18 +571,15 @@ def cmd_test(args) -> int:
     if min(data.shape) < 2 * cfg["k_star"] - 1:
         raise ConfigError(f"test data is {data.shape[0]}x{data.shape[1]}; K*="
                           f"{cfg['k_star']} needs {2 * cfg['k_star'] - 1} rows and columns")
-    cv = _critical_values_from_cfg(cfg, cfg.get("threads"))
+    cv = _critical_values_from_cfg(cfg)
     result = detect(data, cfg["k_star"], cv, center=cfg.get("center", False))
-    with OutputSession(args.out) as session:
-        p = session.write_json("detection.json", {
-            "decision": jsonable(vars(result)),
-            "critical_values": jsonable(vars(cv)),
-            "meta": _meta(cfg, t0),
-        })
-    print(p)
+    print(session.write_json("detection.json", {
+        "decision": jsonable(vars(result)),
+        "critical_values": jsonable(vars(cv)),
+        "meta": _meta(cfg, t0),
+    }))
     print(f"DS={result.ds:.6g} (reject={result.reject_ds}) "
           f"RS={result.rs:.6g} (reject={result.reject_rs})")
-    return 0
 
 
 def _load_data_csv(path: str) -> np.ndarray:
@@ -638,32 +610,27 @@ def _write_table(session, name, report, cfg, t0, sig_digits):
     return csv_path
 
 
-def cmd_reproduce(args) -> int:
-    cfg = load_config(args)
-    t0 = time.perf_counter()
+def cmd_reproduce(cfg: dict, session: OutputSession, t0: float):
     target = cfg["target"]
     scale = cfg.get("scale", 1.0)
     seed = cfg.get("master_seed", 0)
     threads = cfg.get("threads")
     sig_digits = cfg.get("precision", 10)
     reps = max(int(round(_BASE_REPS[target] * scale)), 1)
-    with OutputSession(args.out) as session:
-        if target.startswith("table"):
-            cv = _critical_values_from_cfg(cfg, threads)
-            grid = default_grid()
-            if target == "table1":
-                report = run_size_experiment(grid, reps, cv, seed, threads)
-            else:
-                clusters = {"table2": 2, "table3": 3, "table4": 4}[target]
-                report = run_power_experiment(clusters, grid, reps, cv, seed,
-                                              threads)
-            path = _write_table(session, target, report, cfg, t0, sig_digits)
-        elif target == "figure1":
-            path = _nonuniversality(session, cfg, reps, t0)
-        else:  # figure2
-            path = _figure2(session, reps, seed, cfg, t0, sig_digits)
+    if target.startswith("table"):
+        cv = _critical_values_from_cfg(cfg)
+        grid = default_grid()
+        if target == "table1":
+            report = run_size_experiment(grid, reps, cv, seed, threads)
+        else:
+            clusters = {"table2": 2, "table3": 3, "table4": 4}[target]
+            report = run_power_experiment(clusters, grid, reps, cv, seed, threads)
+        path = _write_table(session, target, report, cfg, t0, sig_digits)
+    elif target == "figure1":
+        path = _nonuniversality(session, cfg, reps, t0)
+    else:  # figure2
+        path = _figure2(session, reps, seed, cfg, t0, sig_digits)
     print(path)
-    return 0
 
 
 def _figure2(session, reps, seed, cfg, t0, sig_digits):
@@ -682,22 +649,17 @@ def _figure2(session, reps, seed, cfg, t0, sig_digits):
     return csv_path
 
 
-def cmd_verify(args) -> int:
-    cfg = load_config(args)
-    t0 = time.perf_counter()
+def cmd_verify(cfg: dict, session: OutputSession, t0: float):
     report = run_verification(
         n_small=cfg.get("samples", 200), seeds=cfg.get("seeds", 50),
         master_seed=cfg.get("master_seed", 0), workers=cfg.get("threads"),
     )
-    with OutputSession(args.out) as session:
-        p = session.write_json("verification.json",
-                               {**report.to_jsonable(), "meta": _meta(cfg, t0)})
-    print(p)
+    print(session.write_json("verification.json",
+                             {**report.to_jsonable(), "meta": _meta(cfg, t0)}))
     for name, chk in report.checks.items():
         print(f"{'PASS' if chk['passed'] else 'FAIL'} {name}")
     if not report.all_passed:
         raise VerificationFailure("one or more verification checks failed")
-    return 0
 
 
 # -- entry point ----------------------------------------------------------
@@ -710,7 +672,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and reused by every later
+    ``main`` call in the process."""
     parser = _Parser(
         prog="spikelab",
         description="Spectral theory and Monte-Carlo validation for spiked "
@@ -764,7 +729,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        cfg = load_config(args)
+        t0 = time.perf_counter()
+        with OutputSession(args.out) as session:
+            args.func(cfg, session, t0)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

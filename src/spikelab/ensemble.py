@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -127,17 +125,6 @@ class NoiseLaw:
         return self._sampler(rng, shape)
 
 
-def exact_even_moments(atoms_sq, probs):
-    """(E x^2, E x^4) of a symmetric discrete law, as exact Fractions.
-
-    ``atoms_sq`` are the squared atom values of the positive half (plus an
-    optional atom at zero handled through its probability weight).
-    """
-    m2 = sum(Fraction(p) * Fraction(a2) for a2, p in zip(atoms_sq, probs))
-    m4 = sum(Fraction(p) * Fraction(a2) ** 2 for a2, p in zip(atoms_sq, probs))
-    return 2 * m2, 2 * m4
-
-
 def _discrete_sampler(atoms, probs):
     atoms = np.asarray(atoms, dtype=float)
     cum = np.cumsum(probs)
@@ -175,7 +162,7 @@ def make_noise_law(kind: str, atoms=None, probs=None) -> NoiseLaw:
     (P(+-1/sqrt2) = 4/9, P(+-sqrt5) = 1/18), ``shifted-exponential``
     (Exp(1) - 1), and ``discrete`` with explicit atoms/probs (standardized
     here).  The three/four-point laws match the Gaussian's first four
-    moments exactly; their cumulants are set from rational arithmetic.
+    moments exactly, so their third and fourth cumulants are 0.
     """
     if kind == "gaussian":
         return NoiseLaw(
@@ -186,29 +173,23 @@ def make_noise_law(kind: str, atoms=None, probs=None) -> NoiseLaw:
     if kind == "uniform-sym":
         # E x^4 = 9/5 for Unif(-sqrt3, sqrt3), so excess kurtosis is -6/5
         return NoiseLaw(
-            "uniform-sym", 0.0, float(Fraction(9, 5) - 3),
+            "uniform-sym", 0.0, -1.2,
             cf=lambda t: np.sinc(_SQRT3 * np.asarray(t, dtype=float) / np.pi) + 0j,
             _sampler=lambda rng, shape: rng.uniform(-_SQRT3, _SQRT3, shape),
         )
     if kind == "three-point":
-        m2, m4 = exact_even_moments([3], [Fraction(1, 6)])
-        assert (m2, m4) == (1, 3)
         atoms_, probs_ = [-_SQRT3, 0.0, _SQRT3], [1 / 6, 2 / 3, 1 / 6]
         return NoiseLaw(
-            "three-point", 0.0, float(m4 - 3),
+            "three-point", 0.0, 0.0,
             cf=lambda t: (2.0 + np.cos(_SQRT3 * np.asarray(t, dtype=float))) / 3.0 + 0j,
             _sampler=_discrete_sampler(atoms_, probs_),
         )
     if kind == "four-point":
-        m2, m4 = exact_even_moments(
-            [Fraction(1, 2), 5], [Fraction(4, 9), Fraction(1, 18)]
-        )
-        assert (m2, m4) == (1, 3)
         a1, a2 = 1.0 / math.sqrt(2.0), math.sqrt(5.0)
         atoms_ = [-a2, -a1, a1, a2]
         probs_ = [1 / 18, 4 / 9, 4 / 9, 1 / 18]
         return NoiseLaw(
-            "four-point", 0.0, float(m4 - 3),
+            "four-point", 0.0, 0.0,
             cf=lambda t: (8.0 * np.cos(np.asarray(t, dtype=float) * a1)
                           + np.cos(np.asarray(t, dtype=float) * a2)) / 9.0 + 0j,
             _sampler=_discrete_sampler(atoms_, probs_),
@@ -396,41 +377,22 @@ def equal_split_labels(n_samples: int, n_clusters: int) -> np.ndarray:
     return np.repeat(np.arange(n_clusters), counts)
 
 
-def mixture_signal(centers, assignment, n_samples: int, rng=None):
+def mixture_signal(centers, assignment, n_samples: int):
     """Scaled mixture signal (1/sqrt(N)) [c_1..c_K] [1_{N_1}..1_{N_K}]^T.
 
-    ``assignment`` is either an explicit integer label vector of length N,
-    the string ``"equal"`` for exact deterministic proportions, or a
-    probability vector over clusters sampled with ``rng``.  Returns the
+    ``assignment`` names the rule that assigns samples to clusters; the one
+    rule is ``"equal"``, exact deterministic proportions.  Returns the
     SignalModel together with the realized cluster sizes.
     """
+    if assignment != "equal":
+        raise ConfigError(f"unknown assignment rule {assignment!r}")
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     n_clusters = centers.shape[1]
-    if isinstance(assignment, str):
-        if assignment != "equal":
-            raise ConfigError(f"unknown assignment rule {assignment!r}")
-        labels = equal_split_labels(n_samples, n_clusters)
-    else:
-        assignment = np.asarray(assignment)
-        if np.issubdtype(assignment.dtype, np.integer):
-            labels = assignment
-            if labels.shape != (n_samples,):
-                raise ConfigError("label vector length must equal N")
-        else:
-            if assignment.shape != (n_clusters,) or abs(math.fsum(assignment) - 1) > 1e-12:
-                raise ConfigError("cluster probabilities must sum to 1")
-            if rng is None:
-                raise ConfigError("probabilistic assignment requires an rng")
-            labels = np.searchsorted(np.cumsum(assignment), rng.random(n_samples),
-                                     side="right")
-    counts = np.bincount(labels, minlength=n_clusters)
-    if (counts == 0).any():
-        warnings.warn("mixture has empty cluster(s); signal rank drops",
-                      stacklevel=2)
+    labels = equal_split_labels(n_samples, n_clusters)
     indicator = np.zeros((n_samples, n_clusters))
     indicator[np.arange(n_samples), labels] = 1.0
     sig = SignalModel.from_outer(centers / math.sqrt(n_samples), indicator)
-    return sig, counts
+    return sig, np.bincount(labels, minlength=n_clusters)
 
 
 @dataclass(frozen=True)

@@ -39,3 +39,7 @@ class DegenerateSpectrumError(SpikelabError):
 
 class CapabilityError(SpikelabError):
     """Requested an analytic quantity a sampler-only noise law cannot provide."""
+
+
+class VerificationFailure(SpikelabError):
+    """A verification battery ran and one or more of its checks failed."""

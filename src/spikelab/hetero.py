@@ -180,18 +180,12 @@ def default_grid(sigmas=SIGMA_RECIPES, laws=LAW_KINDS, shapes=SHAPES):
 class ExperimentReport:
     """Rejection rates per scenario cell, with full regeneration metadata."""
 
-    kind: str                       # size | power
     cells: tuple
     rates_ds: np.ndarray
     rates_rs: np.ndarray
     reps: int
     cv: CriticalValues
     master_seed: int
-    clusters: int | None = None
-    center_scale: float = 1.0
-
-    def rate(self, cell_idx: int, statistic: str) -> float:
-        return float((self.rates_ds if statistic == "DS" else self.rates_rs)[cell_idx])
 
     def to_rows(self):
         """Pivot into the published table layout: one row per
@@ -339,8 +333,7 @@ def run_size_experiment(grid, reps: int, cv: CriticalValues, master_seed: int,
                         workers=None) -> ExperimentReport:
     """Null rejection rates over the scenario grid (nominal level 1 - q)."""
     rates_ds, rates_rs = _run_cells(grid, reps, cv, master_seed, workers)
-    return ExperimentReport("size", tuple(grid), rates_ds, rates_rs, reps, cv,
-                            master_seed)
+    return ExperimentReport(tuple(grid), rates_ds, rates_rs, reps, cv, master_seed)
 
 
 def run_power_experiment(clusters: int, grid, reps: int, cv: CriticalValues,
@@ -355,9 +348,7 @@ def run_power_experiment(clusters: int, grid, reps: int, cv: CriticalValues,
     """
     rates_ds, rates_rs = _run_cells(grid, reps, cv, master_seed, workers,
                                     clusters, center_scale)
-    return ExperimentReport("power", tuple(grid), rates_ds, rates_rs, reps, cv,
-                            master_seed, clusters=clusters,
-                            center_scale=center_scale)
+    return ExperimentReport(tuple(grid), rates_ds, rates_rs, reps, cv, master_seed)
 
 
 def figure2_samples(reps: int, master_seed: int, workers=None) -> list:

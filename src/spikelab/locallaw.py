@@ -178,8 +178,9 @@ def g_squared_residual(bundle: ResolventBundle, u: np.ndarray,
     return float(abs(gu @ gv - u @ bundle.pi.pi2_apply(v)))
 
 
-def divided_difference(bundle: ResolventBundle, other: ResolventBundle) -> float:
-    p, q = bundle.pi, other.pi
+def divided_difference(p: Pi, q: Pi) -> float:
+    """m[z, z*] = (m(z) - m(z*)) / (z - z*), equal to m'(z) on the diagonal,
+    from the m and m' that ``solve_pi`` solved for each Pi."""
     if p.z == q.z:
         return p.m_prime
     return (p.m - q.m) / (p.z - q.z)
@@ -211,7 +212,7 @@ def two_resolvent_residuals(bundle: ResolventBundle, other: ResolventBundle,
     def w_n(p, q):
         return float(p[m_dim:] @ q[m_dim:])
 
-    dd = divided_difference(bundle, other)
+    dd = divided_difference(bundle.pi, other.pi)
     ratio = dd / (bundle.pi.m * other.pi.m)
     pi_u = bundle.pi.pi_apply(u_emb)[:m_dim]
     pi_su = other.pi.pi_apply(u_emb)[:m_dim]

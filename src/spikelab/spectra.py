@@ -48,17 +48,6 @@ def haar_orthogonal(gaussian: np.ndarray) -> np.ndarray:
     return q
 
 
-def haar_eigendata(spectrum: np.ndarray, gaussian: np.ndarray):
-    """(values, basis) of the Haar covariance O diag(spectrum) O' with
-    O = ``haar_orthogonal(gaussian)``: the values sorted non-increasing and
-    the basis columns in their order, as ``make_covariance("haar")`` stores
-    them.  A Monte-Carlo draw (``hetero.draw_data``) needs no sort: it
-    applies diag(spectrum)^{1/2} O' straight from the QR, since the order of
-    the rows does not change the Gram matrix's eigenvalues."""
-    order = _stable_descending_order(spectrum)
-    return spectrum[order], haar_orthogonal(gaussian)[:, order]
-
-
 @dataclass(frozen=True)
 class CovarianceModel:
     """Population noise covariance Sigma = V diag(values) V'.
@@ -151,18 +140,6 @@ def _stable_descending_order(values):
     return np.argsort(-np.asarray(values), kind="stable")
 
 
-def _from_eigh(recipe, mat, psd_tol=1e-8):
-    vals, vecs = np.linalg.eigh(mat)
-    order = _stable_descending_order(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    if vals[-1] < -psd_tol * max(vals[0], 1.0):
-        raise DomainError(
-            f"{recipe} covariance is not PSD: eigenvalue {vals[-1]:.6g}"
-        )
-    vals = np.clip(vals, 0.0, None)
-    return CovarianceModel(recipe, vals, basis=vecs)
-
-
 def _kms_eigenpairs(dim, rho):
     """Eigenpairs of the Kac-Murdock-Szego matrix rho^|i-j| in closed form.
 
@@ -241,8 +218,9 @@ def make_covariance(recipe: str, dim: int, seed=None, **params) -> CovarianceMod
         rng = (seed if isinstance(seed, np.random.Generator) else
                np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))))
         spectrum = rng.uniform(a, b, size=dim)
-        values, basis = haar_eigendata(spectrum, rng.standard_normal((dim, dim)))
-        return CovarianceModel("haar", values, basis=basis)
+        basis = haar_orthogonal(rng.standard_normal((dim, dim)))
+        order = _stable_descending_order(spectrum)
+        return CovarianceModel("haar", spectrum[order], basis=basis[:, order])
 
     if recipe == "dense":
         mat = np.asarray(params["matrix"], dtype=float)
@@ -250,7 +228,12 @@ def make_covariance(recipe: str, dim: int, seed=None, **params) -> CovarianceMod
             raise ConfigError(f"dense matrix must be {dim}x{dim}")
         if not np.allclose(mat, mat.T, atol=1e-12 * max(1.0, np.abs(mat).max())):
             raise DomainError("dense covariance must be symmetric")
-        return _from_eigh("dense", 0.5 * (mat + mat.T))
+        vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
+        order = _stable_descending_order(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        if vals[-1] < -1e-8 * max(vals[0], 1.0):
+            raise DomainError(f"dense covariance is not PSD: eigenvalue {vals[-1]:.6g}")
+        return CovarianceModel("dense", np.clip(vals, 0.0, None), basis=vecs)
 
     raise ConfigError(f"unknown covariance recipe {recipe!r}")
 
@@ -265,32 +248,21 @@ class SpectralDistribution:
 
     values: np.ndarray
     weights: np.ndarray
-    multiplicities: np.ndarray | None = None
+    multiplicities: np.ndarray
 
     def __post_init__(self):
         total = math.fsum(self.weights)
         if abs(total - 1.0) > 1e-12:
             raise NumericalError(f"spectral weights sum to {total}, not 1")
 
-    @classmethod
-    def from_atoms(cls, values, weights):
-        values = np.asarray(values, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        order = np.argsort(values)
-        return cls(values[order], weights[order])
-
     @property
     def top(self) -> float:
         return float(self.values[-1])
 
     def mass_below(self, cutoff: float) -> float:
-        """nu([0, cutoff]), as a count ratio (correctly rounded) when the
-        multiplicities are known."""
+        """nu([0, cutoff]), as a count ratio (correctly rounded)."""
         mask = self.values <= cutoff
-        if self.multiplicities is not None:
-            total = int(self.multiplicities.sum())
-            return int(self.multiplicities[mask].sum()) / total
-        return math.fsum(self.weights[mask])
+        return int(self.multiplicities[mask].sum()) / int(self.multiplicities.sum())
 
 
 def esd(model: CovarianceModel) -> SpectralDistribution:

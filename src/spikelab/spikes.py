@@ -64,9 +64,8 @@ class SignalModel:
         return (self.left * self.svals) @ self.right.T
 
     def apply_t(self, x: np.ndarray) -> np.ndarray:
-        """S^T x for x of length M (or a stack of columns)."""
-        return self.right @ (self.svals[:, None] * (self.left.T @ x)
-                             if np.ndim(x) == 2 else self.svals * (self.left.T @ x))
+        """S^T x for x of length M."""
+        return self.right @ (self.svals * (self.left.T @ x))
 
     def gram_m(self) -> np.ndarray:
         """S S^T as a dense M x M matrix."""
@@ -81,23 +80,16 @@ class SignalModel:
         return cls(left[:, order], svals[order], right[:, order])
 
     @classmethod
-    def from_dense(cls, s, rank_tol=1e-10):
-        """Extract the low-rank SVD, dropping singular values below
-        rank_tol * s_1 (a mixture signal can lose rank this way)."""
-        s = np.asarray(s, dtype=float)
-        u, d, vt = np.linalg.svd(s, full_matrices=False)
-        keep = d > (rank_tol * d[0] if d.size and d[0] > 0 else 0.0)
-        return cls(u[:, keep], d[keep], vt[keep].T)
-
-    @classmethod
-    def from_outer(cls, a, b, rank_tol=1e-10):
-        """Compact SVD of A @ B.T without densifying (A: M x K, B: N x K)."""
+    def from_outer(cls, a, b):
+        """Compact SVD of A @ B.T without densifying (A: M x K, B: N x K),
+        dropping singular values below 1e-10 * s_1 (a mixture signal can
+        lose rank this way)."""
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
         qa, ra = np.linalg.qr(a)
         qb, rb = np.linalg.qr(b)
         u0, d, v0t = np.linalg.svd(ra @ rb.T, full_matrices=False)
-        keep = d > (rank_tol * d[0] if d.size and d[0] > 0 else 0.0)
+        keep = d > (1e-10 * d[0] if d.size and d[0] > 0 else 0.0)
         return cls(qa @ u0[:, keep], d[keep], qb @ v0t[keep].T)
 
     @classmethod
@@ -131,9 +123,7 @@ class DeformedPopulation:
     sigma_tilde: np.ndarray
     psi: np.ndarray
     threshold: float
-    tau: float
     K0: int
-    gaps: np.ndarray
     edge: EdgeData
     warnings: tuple = ()
 
@@ -262,17 +252,17 @@ def deform(sigma: CovarianceModel, signal: SignalModel, tau: float) -> DeformedP
     vals = secular_values(sigma.values, z, z[:, :0], n_eigs)
 
     edge = find_w_plus(esd(sigma), m_dim / n_dim)
-    k0, gaps, notes = _classify(vals, k, edge.threshold, tau)
+    k0, notes = _classify(vals, k, edge.threshold, tau)
     # supercritical roots clear threshold > lambda_1(Sigma) by 2 tau
     psi = _fix_signs(_secular_vectors(sigma, z, vals[:k0]))
     return DeformedPopulation(
-        sigma_tilde=vals, psi=psi, threshold=edge.threshold, tau=tau, K0=k0,
-        gaps=gaps, edge=edge, warnings=notes,
+        sigma_tilde=vals, psi=psi, threshold=edge.threshold, K0=k0, edge=edge,
+        warnings=notes,
     )
 
 
 def _classify(vals, k, threshold, tau):
-    """K0, the gaps of the top K+1 eigenvalues and the advisory notes."""
+    """K0 and the advisory notes on the top K+1 eigenvalues."""
     k0 = int(np.sum(vals[:k] >= threshold + 2 * tau))
     notes = []
     marginal = np.sum((vals[:k] > threshold) & (vals[:k] < threshold + 2 * tau))
@@ -285,7 +275,7 @@ def _classify(vals, k, threshold, tau):
         notes.append(f"spike gap(s) below tau={tau} at index {small.tolist()}")
     if k0 == 0:
         notes.append("all spikes subcritical: no detached sample eigenvalue expected")
-    return k0, gaps, tuple(notes)
+    return k0, tuple(notes)
 
 
 def mixed_moment(vectors, powers) -> float:

@@ -10,9 +10,11 @@ over the atoms (s_i, p_i) of the population spectral distribution nu.  The
 rightmost support edge is lambda_plus = f(w_plus), where w_plus is the unique
 stationary point of f on (-1/s_max, 0).  The pair (nu, phi) fixes the noise
 bulk, and ``find_w_plus`` solves it once into an ``EdgeData`` holding nu,
-phi and the edge; m(z), theta(sigma_tilde) and the divided difference of m
-read everything from that one object.  All functions here work with
-eigenvalue atoms only; no matrix inverses are formed.
+phi and the edge; m(z) and theta(sigma_tilde) read everything from that one
+object.  The divided difference m[z, z*] is formed in
+``locallaw.divided_difference`` from the m and m' its Pi(z) already holds.
+All functions here work with eigenvalue atoms only; no matrix inverses are
+formed.
 """
 
 from __future__ import annotations
@@ -77,13 +79,12 @@ def f_eval(w: float, nu: SpectralDistribution, phi: float):
     return f0, f1, f2
 
 
-def _bracket_grid(n=64):
-    # points in (0, 1) accumulating geometrically at both endpoints
-    half = np.geomspace(1e-12, 0.5, n // 2)
-    return np.concatenate([half, 1.0 - half[::-1]])
+# 64 points in (0, 1) accumulating geometrically at both endpoints
+_HALF_GRID = np.geomspace(1e-12, 0.5, 32)
+_BRACKET_GRID = np.concatenate([_HALF_GRID, 1.0 - _HALF_GRID[::-1]])
 
 
-def find_w_plus(nu: SpectralDistribution, phi: float, grid_size: int = 64) -> EdgeData:
+def find_w_plus(nu: SpectralDistribution, phi: float) -> EdgeData:
     """Locate the critical point w_plus in (-1/s_max, 0) and the edge.
 
     f' decreases to -inf at the left endpoint (the top atom's pole) and
@@ -98,7 +99,7 @@ def find_w_plus(nu: SpectralDistribution, phi: float, grid_size: int = 64) -> Ed
         raise DomainError(f"phi must be positive, got {phi}")
 
     left = -1.0 / sigma1
-    ws = left * (1.0 - _bracket_grid(grid_size))  # ascending in w
+    ws = left * (1.0 - _BRACKET_GRID)  # ascending in w
     fps = np.array([f_eval(w, nu, phi)[1] for w in ws])
     sign_change = np.nonzero((fps[:-1] < 0) & (fps[1:] >= 0))[0]
     if sign_change.size == 0:
@@ -174,21 +175,6 @@ def solve_m(z: float, edge: EdgeData) -> float:
     if abs(f_eval(m, nu, phi)[0] - z) > tol:
         raise NumericalError(f"m(z) solver residual exceeds {tol:.1e} at z={z!r}")
     return m
-
-
-def m_derivative_and_divided_difference(z_k: float, z_j: float,
-                                        edge: EdgeData) -> float:
-    """Divided difference m[z_k, z_j], equal to m'(z_k) on the diagonal.
-
-    m' comes from the inverse-function rule 1 / f'(m(z)); off-diagonal the
-    plain quotient (m(z_k) - m(z_j)) / (z_k - z_j) is returned.
-    """
-    if z_k == z_j:
-        m = solve_m(z_k, edge)
-        return 1.0 / f_eval(m, edge.nu, edge.phi)[1]
-    mk = solve_m(z_k, edge)
-    mj = solve_m(z_j, edge)
-    return (mk - mj) / (z_k - z_j)
 
 
 def theta_map(sigma_tilde: float, edge: EdgeData):

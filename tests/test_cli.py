@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from spikelab import spikes, stieltjes
+from spikelab import cli, spikes, stieltjes
 from spikelab.cli import CONFIG_SCHEMAS, OutputSession, main
 from spikelab.spectra import CovarianceModel
 
@@ -378,19 +378,40 @@ def test_misshapen_config_array_is_config_error(tmp_path, capsys, covariance, si
     (dict(THEORY_CFG, signal={"kind": "mixture", "clusters": 3, "seed": 1}, samples=2),
      1, "config error: 2 samples cannot fill 3 clusters"),
     (dict(THEORY_CFG, signal={"kind": "random-svd", "strengths": [3], "seed": -1}),
-     1, "config error: config field signal:"),
+     1, "config error: config field signal/seed: -1 is less than the minimum of 0\n"),
     (dict(THEORY_CFG, covariance={"recipe": "haar", "dim": 20, "bounds": [1, 2], "seed": -1}),
-     1, "config error: config field covariance:"),
+     1, "config error: config field covariance/seed: -1 is less than the minimum of 0\n"),
+    (dict(THEORY_CFG, covariance={"recipe": "identity", "dim": 3},
+          signal={"kind": "mixture-explicit", "centers": [[1, -1], [0, 0], [0, 0]],
+                  "assignment": "random"}),
+     1, "config error: unknown assignment rule 'random'"),
     (dict(THEORY_CFG, signal={"kind": "localized", "strength_sq": 1e300}),
      2, "numerical failure: spike 1e+300 is too strong"),
 ], ids=["discrete-lengths", "strengths-above-dim", "samples-below-clusters",
-        "negative-signal-seed", "negative-haar-seed", "overflowing-strength"])
+        "negative-signal-seed", "negative-haar-seed", "unknown-assignment",
+        "overflowing-strength"])
 def test_bad_theory_config_exits_with_one_line(tmp_path, capsys, cfg, code, message):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["theory", "--config", path, "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1 and not out.exists()
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    cli.build_parser.cache_clear()
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cfg = write_config(tmp_path, THEORY_CFG)
+    for _ in range(2):
+        assert main(["theory", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert built.count("spikelab") == 1
 
 
 def test_output_session_removes_partial_files(tmp_path):
@@ -424,6 +445,15 @@ def test_schema_error_is_the_one_validate_reports(tmp_path, capsys, cfg):
 
 
 class TestVerifyCli:
+    def test_failed_battery_keeps_its_report(self, tmp_path, capsys):
+        # four seeds are too few for the scaling bands: exit 3, report kept
+        out = tmp_path / "out"
+        assert main(["verify", "--n", "50", "--seeds", "4", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "verification failure: one or more verification checks failed\n")
+        payload = json.loads((out / "verification.json").read_text())
+        assert payload["all_passed"] is False
+
     def test_report_consistent_with_exit_code(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         code = main(["verify", "--n", "100", "--seeds", "6", "--seed", "4",

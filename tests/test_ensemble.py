@@ -16,7 +16,6 @@ from spikelab.ensemble import (
     _discrete_sampler,
     empirical_cf_check,
     equal_split_labels,
-    exact_even_moments,
     make_noise_law,
     mixture_signal,
     parallel_map,
@@ -28,6 +27,15 @@ from spikelab.ensemble import (
 )
 
 from conftest import GEOM, MC_REPS
+
+
+def exact_even_moments(atoms_sq, probs):
+    """(E x^2, E x^4) of a symmetric discrete law, as exact Fractions, from
+    the squared atoms of its positive half and their probabilities (an atom
+    at zero adds nothing)."""
+    m2 = sum(Fraction(p) * Fraction(a2) for a2, p in zip(atoms_sq, probs))
+    m4 = sum(Fraction(p) * Fraction(a2) ** 2 for a2, p in zip(atoms_sq, probs))
+    return 2 * m2, 2 * m4
 
 
 class TestNoiseLaws:
@@ -341,18 +349,6 @@ class TestMixtureSignal:
         centers = np.column_stack([c1, c2, -(c1 + c2)])
         signal, _counts = mixture_signal(centers, "equal", n)
         assert np.abs(signal.dense().mean(axis=1)).max() <= 1e-14
-
-    def test_empty_cluster_warns(self):
-        centers = np.ones((5, 3))
-        labels = np.zeros(12, dtype=int)  # clusters 1 and 2 empty
-        with pytest.warns(UserWarning, match="empty cluster"):
-            mixture_signal(centers, labels, 12)
-
-    def test_probabilistic_assignment(self):
-        centers = np.column_stack([np.ones(20), -np.ones(20)])
-        signal, counts = mixture_signal(centers, np.array([0.5, 0.5]), 200,
-                                        rng=stream(12))
-        assert counts.sum() == 200 and signal.rank >= 1
 
     @given(st.integers(min_value=2, max_value=5),
            st.integers(min_value=10, max_value=200))

@@ -36,18 +36,18 @@ def random_signal(rank, strengths, seed, m=M, n=N):
 class TestSignalModel:
     def test_dense_round_trip(self):
         sig = random_signal(3, [3.0, 2.0, 1.0], seed=0)
-        rebuilt = SignalModel.from_dense(sig.dense())
+        rebuilt = SignalModel.from_outer(sig.dense(), np.eye(N))
         assert rebuilt.rank == 3
         np.testing.assert_allclose(rebuilt.svals, sig.svals, atol=1e-9 * 3.0)
         assert np.abs(rebuilt.dense() - sig.dense()).max() <= 1e-9 * sig.svals[0]
 
     def test_rank_tolerance_drops_tiny_directions(self):
         sig = random_signal(2, [2.0, 1e-13], seed=1)
-        rebuilt = SignalModel.from_dense(sig.dense())
+        rebuilt = SignalModel.from_outer(sig.dense(), np.eye(N))
         assert rebuilt.rank == 1
 
     def test_zero_matrix_is_rank_zero(self):
-        assert SignalModel.from_dense(np.zeros((10, 20))).rank == 0
+        assert SignalModel.from_outer(np.zeros((10, 1)), np.zeros((20, 1))).rank == 0
 
 
 class TestDeform:
@@ -73,7 +73,8 @@ class TestDeform:
     def test_rank_zero_rejected(self):
         sigma = make_covariance("identity", 10)
         with pytest.raises(DomainError, match="rank 0"):
-            deform(sigma, SignalModel.from_dense(np.zeros((10, 20))), 0.05)
+            deform(sigma, SignalModel.from_outer(np.zeros((10, 1)), np.zeros((20, 1))),
+                   0.05)
 
     def test_interlacing(self):
         sigma = make_covariance("toeplitz", 60, rho=0.1)
@@ -130,7 +131,7 @@ class TestDeformOracle:
         expected = np.linalg.eigh(mat)[0][::-1][:rank + 1]
         top = expected[0]
         np.testing.assert_allclose(pop.sigma_tilde, expected, rtol=0, atol=1e-12 * top)
-        k0, _gaps, notes = _classify(expected, rank, pop.threshold, tau)
+        k0, notes = _classify(expected, rank, pop.threshold, tau)
         assert pop.K0 == k0 and pop.warnings == notes
         assert pop.psi.shape == (m, k0)
         residual = mat @ pop.psi - pop.psi * pop.sigma_tilde[:k0]

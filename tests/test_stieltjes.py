@@ -7,17 +7,13 @@ from hypothesis import strategies as st
 
 from spikelab import stieltjes
 from spikelab.errors import DomainError, SubcriticalError
-from spikelab.spectra import SpectralDistribution, esd, make_covariance
-from spikelab.stieltjes import (
-    f_eval,
-    find_w_plus,
-    m_derivative_and_divided_difference,
-    solve_m,
-    theta_map,
-)
+from spikelab.locallaw import divided_difference, solve_pi
+from spikelab.spectra import esd, make_covariance
+from spikelab.stieltjes import f_eval, find_w_plus, solve_m, theta_map
 
-ISO = esd(make_covariance("identity", 10))
-TWO_ATOM = SpectralDistribution.from_atoms([1.0, 2.0], [0.5, 0.5])
+IDENTITY = make_covariance("identity", 10)
+ISO = esd(IDENTITY)
+TWO_ATOM = esd(make_covariance("diagonal", 2, entries=[1.0, 2.0]))
 
 
 def mp_stieltjes(z, phi):
@@ -84,7 +80,7 @@ class TestEdge:
         assert edge.sigma_tw == pytest.approx(2.0 * 2.0 ** (1.0 / 3.0), rel=1e-12)
 
     def test_degenerate_rejected(self):
-        zero = SpectralDistribution.from_atoms([0.0], [1.0])
+        zero = esd(make_covariance("diagonal", 1, entries=[0.0]))
         with pytest.raises(DomainError):
             find_w_plus(zero, 0.5)
 
@@ -143,16 +139,22 @@ class TestSolveM:
         assert np.all(np.diff(ms) > 0)
 
 
+def m_divided_difference(z_k, z_j, edge):
+    """m[z_k, z_j] through the Pi(z) that ``solve_pi`` solves at each z."""
+    return divided_difference(solve_pi(IDENTITY, z_k, edge),
+                              solve_pi(IDENTITY, z_j, edge))
+
+
 class TestDividedDifference:
     def test_off_diagonal_matches_oracle(self):
-        got = m_derivative_and_divided_difference(4.0, 5.0, find_w_plus(ISO, 0.5))
+        got = m_divided_difference(4.0, 5.0, find_w_plus(ISO, 0.5))
         expected = (mp_stieltjes(4.0, 0.5) - mp_stieltjes(5.0, 0.5)) / (4.0 - 5.0)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_diagonal_continuity(self):
         z, edge = 4.0, find_w_plus(ISO, 0.5)
-        mprime = m_derivative_and_divided_difference(z, z, edge)
-        near = m_derivative_and_divided_difference(z, z + 1e-6, edge)
+        mprime = m_divided_difference(z, z, edge)
+        near = m_divided_difference(z, z + 1e-6, edge)
         assert abs(near - mprime) <= 1e-4 * abs(mprime)
 
     def test_diagonal_spike_identity(self):
@@ -160,7 +162,7 @@ class TestDividedDifference:
         sigma_tilde = 6.25
         edge = find_w_plus(ISO, 0.5)
         theta, theta_prime = theta_map(sigma_tilde, edge)
-        mprime = m_derivative_and_divided_difference(theta, theta, edge)
+        mprime = m_divided_difference(theta, theta, edge)
         assert mprime == pytest.approx(1.0 / (sigma_tilde**2 * theta_prime),
                                        rel=1e-10)
 
