@@ -267,16 +267,14 @@ class SpikeMCConfig:
 class SpikeSamples:
     """Per-replication top eigenvalues and scaled spike fluctuations.
 
-    Record ``i`` was generated from ``stream(master_seed, rep_ids[i])``, so
-    any single replication can be replayed exactly.
+    Record ``i`` was drawn from ``stream(config.master_seed, rep_ids[i])``,
+    so any single replication can be replayed exactly.
     """
 
     lambdas: np.ndarray
     fluctuations: np.ndarray
     theta_samples: np.ndarray | None
     rep_ids: np.ndarray
-    master_seed: int
-    model: str
     config: SpikeMCConfig
     theory: SpikeTheory | None
 
@@ -361,8 +359,7 @@ def run_spike_mc(config: SpikeMCConfig) -> SpikeSamples:
     return SpikeSamples(
         lambdas=lambdas, fluctuations=fluct,
         theta_samples=thetas[0] if coupled else None,
-        rep_ids=np.arange(config.reps), master_seed=config.master_seed,
-        model=config.model, config=config, theory=theory,
+        rep_ids=np.arange(config.reps), config=config, theory=theory,
     )
 
 

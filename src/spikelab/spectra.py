@@ -140,6 +140,31 @@ def _stable_descending_order(values):
     return np.argsort(-np.asarray(values), kind="stable")
 
 
+def newton_in(fn, lo, hi, x, atol=None):
+    """Root of an increasing ``fn(x) -> (value, slope)`` in [lo, hi], elementwise.
+
+    Each evaluation moves the bracket's end on the root's far side to x, and
+    a Newton step that would leave the bracket becomes its midpoint.  Stops
+    once every step moves by at most ``atol``, or by 4 ulps of the iterate
+    when ``atol`` is None; a correction that small is then kept even where
+    rounding puts it on the bracket's end.  Scalars in give a float out.
+    """
+    for _ in range(100):
+        g, slope = fn(x)
+        lo = np.where(g < 0, x, lo)
+        hi = np.where(g > 0, x, hi)
+        newton = x - np.divide(g, slope)
+        step = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
+        tol = 4.0 * np.spacing(np.abs(x)) if atol is None else atol
+        if atol is None:
+            step = np.where(np.abs(newton - x) <= tol, newton, step)
+        done = np.all(np.abs(step - x) <= tol)
+        x = float(step) if np.ndim(step) == 0 else step
+        if done:
+            break
+    return x
+
+
 def _kms_eigenpairs(dim, rho):
     """Eigenpairs of the Kac-Murdock-Szego matrix rho^|i-j| in closed form.
 
@@ -148,25 +173,20 @@ def _kms_eigenpairs(dim, rho):
     boundary conditions x_0 = rho x_1 and x_{dim+1} = rho x_dim exactly when
     (dim + 1) t + 2 p(t) = j pi.  The left side increases in t and |2p| < pi,
     so the j-th root lies in ((j - 1) pi, (j + 1) pi) / (dim + 1); all dim
-    roots are found at once by Newton steps kept inside those brackets.  The
+    roots are found at once by ``newton_in`` inside those brackets.  The
     eigenvalue is (1 - rho^2) / ((1 - rho)^2 + 4 rho sin^2(t / 2)).
     """
     j = np.arange(1, dim + 1)
     width = np.pi / (dim + 1)
-    lo, hi = (j - 1) * width, np.minimum((j + 1) * width, np.pi)
-    t = j * width
-    for _ in range(100):
+
+    def angle(t):
         sin_t, cos_t = np.sin(t), np.cos(t)
         g = (dim + 1) * t + 2.0 * np.arctan2(rho * sin_t, 1.0 - rho * cos_t) - j * np.pi
         slope = (dim + 1) + 2.0 * rho * (cos_t - rho) / (1.0 - 2.0 * rho * cos_t + rho**2)
-        lo = np.where(g < 0, t, lo)
-        hi = np.where(g > 0, t, hi)
-        step = t - g / slope
-        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-        converged = np.abs(step - t) <= 4.0 * np.finfo(float).eps
-        t = step
-        if converged.all():
-            break
+        return g, slope
+
+    t = newton_in(angle, (j - 1) * width, np.minimum((j + 1) * width, np.pi),
+                  j * width, atol=4.0 * np.finfo(float).eps)
     phase = np.arctan2(rho * np.sin(t), 1.0 - rho * np.cos(t))
     vecs = np.sin(np.outer(j, t) + phase)
     vecs /= np.linalg.norm(vecs, axis=0)

@@ -301,11 +301,11 @@ class SpikeTheory:
     """Deterministic fluctuation quantities for the K0 supercritical spikes.
 
     Per spike k: almost-sure limit ``theta`` with derivative ``theta_prime``,
-    bias ``spike_bias`` (zero for symmetric noise), population resolvent
-    diagonal ``pi_tilde``, the vectors Sigma^{1/2} psi_k, S^T psi_k, the
-    resolvent probe u_k and the 2K null vector ``xi`` of the deterministic
-    master matrix.  Per pair: the Gaussian-part covariance ``gauss_cov``
-    (= base + kurtosis part) and the cross covariance ``cross_cov``.
+    bias ``spike_bias`` (zero for symmetric noise), the vectors
+    Sigma^{1/2} psi_k, S^T psi_k, the resolvent probe u_k and the 2K null
+    vector ``xi`` of the deterministic master matrix.  Per pair: the
+    Gaussian-part covariance ``gauss_cov`` (= base + kurtosis part) and the
+    cross covariance ``cross_cov``.
     """
 
     theta: np.ndarray
@@ -315,15 +315,11 @@ class SpikeTheory:
     gauss_cov_base: np.ndarray
     gauss_cov_kurtosis: np.ndarray
     cross_cov: np.ndarray
-    pi_tilde: np.ndarray
     sqrt_sigma_psi: np.ndarray
     s_top_psi: np.ndarray
     u_vectors: np.ndarray
     xi: np.ndarray
     sigma_tilde: np.ndarray
-    psi: np.ndarray
-    kappa3: float
-    kappa4: float
     N: int
     edge: EdgeData
 
@@ -361,12 +357,8 @@ def asymptotic_quantities(sigma: CovarianceModel, signal: SignalModel,
     for k in range(k0):
         st = float(pop.sigma_tilde[k])
         psi_k = pop.psi[:, k]
+        # theta_map rejects st within 1e-10 relative of an eigenvalue of Sigma
         theta[k], theta_prime[k] = theta_map(st, pop.edge)
-        gapmin = np.abs(st - sigma.eigenvalues).min()
-        if gapmin < 1e-10 * st:
-            raise NumericalError(
-                f"spike {st!r} within 1e-10 relative of a population eigenvalue"
-            )
         pi_tilde[k] = sigma.diagonal(lambda s: s / (st - s))   # Sigma (st - Sigma)^{-1}
         a_vecs[k] = sigma.sqrt_matmat(psi_k)
         b_vecs[k] = signal.apply_t(psi_k)
@@ -420,10 +412,8 @@ def asymptotic_quantities(sigma: CovarianceModel, signal: SignalModel,
         theta=theta, theta_prime=theta_prime, spike_bias=bias,
         gauss_cov=v_base + v_kurt, gauss_cov_base=v_base,
         gauss_cov_kurtosis=v_kurt, cross_cov=w_cross,
-        pi_tilde=pi_tilde, sqrt_sigma_psi=a_vecs, s_top_psi=b_vecs,
-        u_vectors=u_vecs, xi=xi,
-        sigma_tilde=pop.sigma_tilde[:k0].copy(), psi=pop.psi[:, :k0].copy(),
-        kappa3=kappa3, kappa4=kappa4, N=N, edge=pop.edge,
+        sqrt_sigma_psi=a_vecs, s_top_psi=b_vecs, u_vectors=u_vecs, xi=xi,
+        sigma_tilde=pop.sigma_tilde[:k0].copy(), N=N, edge=pop.edge,
     )
 
 

@@ -8,13 +8,14 @@ increasing, and invertible on (lambda_plus, inf), with inverse
 
 over the atoms (s_i, p_i) of the population spectral distribution nu.  The
 rightmost support edge is lambda_plus = f(w_plus), where w_plus is the unique
-stationary point of f on (-1/s_max, 0).  The pair (nu, phi) fixes the noise
-bulk, and ``find_w_plus`` solves it once into an ``EdgeData`` holding nu,
-phi and the edge; m(z) and theta(sigma_tilde) read everything from that one
-object.  The divided difference m[z, z*] is formed in
-``locallaw.divided_difference`` from the m and m' its Pi(z) already holds.
-All functions here work with eigenvalue atoms only; no matrix inverses are
-formed.
+stationary point of f on (-1/s_max, 0).  Both roots, w_plus and m(z) with
+f(m) = z on (w_plus, 0), are found by ``spectra.newton_in``: Newton steps
+kept inside a bracket.  The pair (nu, phi) fixes the noise bulk, and
+``find_w_plus`` solves it once into an ``EdgeData`` holding nu, phi and the
+edge; m(z) and theta(sigma_tilde) read everything from that one object.
+The divided difference m[z, z*] is formed in ``locallaw.divided_difference``
+from the m and m' its Pi(z) already holds.  All functions here work with
+eigenvalue atoms only; no matrix inverses are formed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, SubcriticalError
-from .spectra import SpectralDistribution
+from .spectra import SpectralDistribution, newton_in
 
 _POLE_TOL = 1e-14
 
@@ -79,18 +80,14 @@ def f_eval(w: float, nu: SpectralDistribution, phi: float):
     return f0, f1, f2
 
 
-# 64 points in (0, 1) accumulating geometrically at both endpoints
-_HALF_GRID = np.geomspace(1e-12, 0.5, 32)
-_BRACKET_GRID = np.concatenate([_HALF_GRID, 1.0 - _HALF_GRID[::-1]])
-
-
 def find_w_plus(nu: SpectralDistribution, phi: float) -> EdgeData:
     """Locate the critical point w_plus in (-1/s_max, 0) and the edge.
 
     f' decreases to -inf at the left endpoint (the top atom's pole) and
-    grows like 1/w^2 at 0-, with a unique zero in between.  A geometric
-    grid accumulating at both endpoints brackets the sign change, bisection
-    shrinks it below 1e-14 / s_max, and Newton steps polish the root.
+    grows like 1/w^2 at 0-, with a unique zero in between; f'' > 0 there,
+    so ``newton_in`` finds it inside (-1/s_max, 0), shrunk by 1e-12
+    relative at both ends, starting from the isotropic value
+    -1 / (s_max (1 + sqrt(phi))).
     """
     sigma1 = nu.top
     if sigma1 <= 0:
@@ -98,37 +95,15 @@ def find_w_plus(nu: SpectralDistribution, phi: float) -> EdgeData:
     if phi <= 0:
         raise DomainError(f"phi must be positive, got {phi}")
 
-    left = -1.0 / sigma1
-    ws = left * (1.0 - _BRACKET_GRID)  # ascending in w
-    fps = np.array([f_eval(w, nu, phi)[1] for w in ws])
-    sign_change = np.nonzero((fps[:-1] < 0) & (fps[1:] >= 0))[0]
-    if sign_change.size == 0:
+    lo, hi = -(1.0 - 1e-12) / sigma1, -1e-12 / sigma1
+    f1_lo, f1_hi = f_eval(lo, nu, phi)[1], f_eval(hi, nu, phi)[1]
+    if not f1_lo < 0 <= f1_hi:
         raise NumericalError(
             "failed to bracket the stationary point of f'; "
-            f"grid values ranged over [{fps.min():.3e}, {fps.max():.3e}]"
+            f"f' is {f1_lo:.3e} and {f1_hi:.3e} at the bracket's ends"
         )
-    lo, hi = ws[sign_change[0]], ws[sign_change[0] + 1]
-
-    target_width = 1e-14 / sigma1
-    while hi - lo > target_width:
-        mid = 0.5 * (lo + hi)
-        if f_eval(mid, nu, phi)[1] < 0:
-            lo = mid
-        else:
-            hi = mid
-
-    w = 0.5 * (lo + hi)
-    for _ in range(8):  # Newton polish on f'
-        _, f1, f2 = f_eval(w, nu, phi)
-        step = f1 / f2
-        if not np.isfinite(step):
-            break
-        w_new = w - step
-        if not lo <= w_new <= hi:
-            break
-        w = w_new
-        if abs(step) < 1e-17 * abs(w):
-            break
+    w = newton_in(lambda w: f_eval(w, nu, phi)[1:], lo, hi,
+                  -1.0 / (sigma1 * (1.0 + math.sqrt(phi))))
 
     f0, f1, f2 = f_eval(w, nu, phi)
     if abs(f1) > 1e-10 / w**2:
@@ -140,7 +115,9 @@ def solve_m(z: float, edge: EdgeData) -> float:
     """Solve the fixed-point equation for m(z) at real z above the edge.
 
     Returns the unique m in (w_plus, 0) with f(m) = z; only z >= lambda_plus
-    + 1e-8 is supported (no complex continuation into the bulk).
+    + 1e-8 is supported (no complex continuation into the bulk).  f is
+    increasing and convex there and f(w) >= -1/w, so Newton's iteration
+    (``newton_in``) starts at -1/z, right of the root.
     """
     nu, phi = edge.nu, edge.phi
     if z <= edge.lambda_plus + 1e-8:
@@ -148,30 +125,12 @@ def solve_m(z: float, edge: EdgeData) -> float:
             f"z={z!r} is not above the spectral edge {edge.lambda_plus!r}"
         )
 
-    # f is increasing from lambda_plus to +inf on (w_plus, 0); bisect until
-    # the bracket is a few ulps of m wide or its midpoint is an endpoint
-    lo = edge.w_plus * (1.0 - 1e-12)
-    hi = -1e-30
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi) or hi - lo <= 4.0 * math.ulp(mid):
-            break
-        if f_eval(mid, nu, phi)[0] < z:
-            lo = mid
-        else:
-            hi = mid
-
-    m = 0.5 * (lo + hi)
-    tol = 1e-10 * max(1.0, abs(z))
-    for _ in range(8):  # Newton polish on f(m) - z
+    def residual(m):
         f0, f1, _ = f_eval(m, nu, phi)
-        if abs(f0 - z) <= 1e-2 * tol or f1 <= 0:
-            break
-        m_new = m - (f0 - z) / f1
-        if not edge.w_plus < m_new < 0:
-            break
-        m = m_new
+        return f0 - z, f1
 
+    m = newton_in(residual, edge.w_plus * (1.0 - 1e-12), -1e-30, -1.0 / z)
+    tol = 1e-10 * max(1.0, abs(z))
     if abs(f_eval(m, nu, phi)[0] - z) > tol:
         raise NumericalError(f"m(z) solver residual exceeds {tol:.1e} at z={z!r}")
     return m

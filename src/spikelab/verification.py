@@ -193,23 +193,24 @@ def _scaling_checks(report: VerificationReport, n_small: int, seeds: int,
         z1 = edge.lambda_plus + 1.0
         z2 = edge.lambda_plus + 2.0
 
-        def one(seed_idx, _n=n_dim, _m=m_dim, _sigma=sigma, _signal=signal,
-                _theory=theory, _edge=edge, _z1=z1, _z2=z2, _sidx=size_idx):
-            rng = stream(master_seed, _sidx, seed_idx, 0)
-            vrng = stream(master_seed, _sidx, seed_idx, 1)
-            draw = factor_noise(law.sample(rng, (_m, _n)) / math.sqrt(_n), _sigma)
+        # parallel_map returns within this iteration, which the closure reads
+        def one(seed_idx):
+            rng = stream(master_seed, size_idx, seed_idx, 0)
+            vrng = stream(master_seed, size_idx, seed_idx, 1)
+            draw = factor_noise(law.sample(rng, (m_dim, n_dim)) / math.sqrt(n_dim),
+                                sigma)
             try:
-                b1 = build_resolvent(draw, _z1, _edge)
-                b2 = build_resolvent(draw, _z2, _edge)
+                b1 = build_resolvent(draw, z1, edge)
+                b2 = build_resolvent(draw, z2, edge)
                 iso, gsq, two = [], [], []
                 for _ in range(n_pairs):
-                    u_full = vrng.standard_normal(_m + _n)
+                    u_full = vrng.standard_normal(m_dim + n_dim)
                     u_full /= np.linalg.norm(u_full)
-                    v_full = vrng.standard_normal(_m + _n)
+                    v_full = vrng.standard_normal(m_dim + n_dim)
                     v_full /= np.linalg.norm(v_full)
-                    u_top = vrng.standard_normal(_m)
+                    u_top = vrng.standard_normal(m_dim)
                     u_top /= np.linalg.norm(u_top)
-                    v_bot = vrng.standard_normal(_n)
+                    v_bot = vrng.standard_normal(n_dim)
                     v_bot /= np.linalg.norm(v_bot)
                     iso.append(isotropic_residual(b1, u_full, v_full))
                     gsq.append(g_squared_residual(b1, u_full, v_full))
@@ -217,13 +218,13 @@ def _scaling_checks(report: VerificationReport, n_small: int, seeds: int,
                 greens, flucts = [], []
                 for d in range(n_draws):
                     dg = (draw if d == 0 else factor_noise(
-                        law.sample(stream(master_seed, _sidx, seed_idx, 2 + d),
-                                   (_m, _n)) / math.sqrt(_n), _sigma))
-                    lam = sample_spikes(dg, _signal, _theory.K0)
+                        law.sample(stream(master_seed, size_idx, seed_idx, 2 + d),
+                                   (m_dim, n_dim)) / math.sqrt(n_dim), sigma))
+                    lam = sample_spikes(dg, signal, theory.K0)
                     greens.append(float(
-                        green_rep_residual(dg, _signal, _theory, lam)[0]
+                        green_rep_residual(dg, signal, theory, lam)[0]
                     ))
-                    flucts.append(float(math.sqrt(_n) * (lam[0] - _theory.theta[0])))
+                    flucts.append(float(math.sqrt(n_dim) * (lam[0] - theory.theta[0])))
                 return {
                     "isotropic": _median(iso),
                     "g_squared": _median(gsq),

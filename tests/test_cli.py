@@ -1,6 +1,9 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import jsonschema
@@ -291,6 +294,30 @@ class TestReproduce:
         meta = json.loads((out / "nonuniversality_ks.json").read_text())["meta"]
         assert meta["config"] == {"target": "figure1", "precision": 4,
                                   "scale": 0.002, "master_seed": 3}
+
+
+@pytest.mark.parametrize("n_a, n_b", [(300, 300), (250, 520), (1, 9)])
+def test_ks_distance_is_the_exact_two_sample_statistic(n_a, n_b):
+    from scipy.stats import ks_2samp   # the oracle only
+    rng = np.random.default_rng(n_a * n_b)
+    gridded = (rng.integers(0, 9, n_a) / 4.0, rng.integers(1, 10, n_b) / 4.0)  # ties
+    smooth = (rng.standard_normal(n_a), rng.standard_normal(n_b) + 0.2)
+    for a, b in (gridded, smooth):
+        assert cli._ks_distance(a, b) == ks_2samp(a, b).statistic
+
+
+def test_nonuniversality_imports_no_scipy(tmp_path):
+    code = ("import sys\n"
+            "from spikelab import cli\n"
+            f"rc = cli.main(['nonuniversality', '--reps', '20', '--out', {str(tmp_path)!r}])\n"
+            "print(rc, 'scipy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,6 +13,7 @@ from spikelab.spectra import (
     esd,
     haar_orthogonal,
     make_covariance,
+    newton_in,
 )
 from spikelab.stieltjes import find_w_plus
 
@@ -204,6 +205,17 @@ def test_coordinate_draw_keeps_the_top_eigenvalues(recipe, data):
     got = top_eigs(cov.sqrt_coordinates(x) + cov.coordinates(s), r)
     # each side carries a few eps * lambda_1 (about 10 at dim 12)
     np.testing.assert_allclose(got, want, rtol=0, atol=32 * EPS * want[0])
+
+
+def test_newton_in_is_elementwise_and_gives_floats_for_scalars():
+    # cube roots of c inside [0, 4], from a start on the wrong side of some
+    c = np.array([1e-6, 1.0, 8.0, 27.0, 63.0])
+    roots = newton_in(lambda x: (x**3 - c, 3.0 * x**2), np.zeros(5), np.full(5, 4.0),
+                      np.full(5, 2.0))
+    np.testing.assert_allclose(roots, np.cbrt(c), rtol=4 * EPS)
+    root = newton_in(lambda x: (x**3 - 2.0, 3.0 * x**2), 0.0, 4.0, 3.9)
+    assert type(root) is float
+    assert root == pytest.approx(np.cbrt(2.0), rel=4 * EPS)
 
 
 class TestEsd:

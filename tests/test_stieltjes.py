@@ -12,8 +12,39 @@ from spikelab.spectra import esd, make_covariance
 from spikelab.stieltjes import f_eval, find_w_plus, solve_m, theta_map
 
 IDENTITY = make_covariance("identity", 10)
+BULKS = {
+    "identity-200": make_covariance("identity", 200),
+    "toeplitz-800": make_covariance("toeplitz", 800, rho=0.2),
+    "haar-300": make_covariance("haar", 300, seed=3, bounds=(0.5, 2.0)),
+}
 ISO = esd(IDENTITY)
 TWO_ATOM = esd(make_covariance("diagonal", 2, entries=[1.0, 2.0]))
+
+
+@pytest.fixture
+def f_eval_calls(monkeypatch):
+    """The w of every ``f_eval`` call the stieltjes solvers make."""
+    calls = []
+    evaluate = stieltjes.f_eval
+
+    def counting(*args):
+        calls.append(args[0])
+        return evaluate(*args)
+
+    monkeypatch.setattr(stieltjes, "f_eval", counting)
+    return calls
+
+
+@st.composite
+def diagonal_entries(draw):
+    """1-60 atoms in [1e-3, 1e3], each repeated 1-50 times, and sometimes a
+    lone top atom above them all."""
+    exps = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=59))
+    counts = draw(st.lists(st.integers(1, 50), min_size=len(exps), max_size=len(exps)))
+    entries = [10.0**e for e, c in zip(exps, counts) for _ in range(c)]
+    if draw(st.booleans()):
+        entries.append(10.0 ** draw(st.floats(max(exps), 3.0)))
+    return entries
 
 
 def mp_stieltjes(z, phi):
@@ -84,6 +115,35 @@ class TestEdge:
         with pytest.raises(DomainError):
             find_w_plus(zero, 0.5)
 
+    @pytest.mark.parametrize("name", sorted(BULKS))
+    def test_few_evaluations(self, name, f_eval_calls):
+        # the bracket's two ends, the Newton steps and the final residual
+        edge = find_w_plus(esd(BULKS[name]), 0.5)
+        assert len(f_eval_calls) <= 16
+        for z in (edge.lambda_plus * (1.0 + 1e-6), edge.lambda_plus + 1.0,
+                  10.0 * edge.lambda_plus):
+            f_eval_calls.clear()
+            solve_m(z, edge)
+            assert len(f_eval_calls) <= 20
+
+    @given(diagonal_entries(), st.floats(-3.0, 3.0))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_random_spectra(self, entries, log_phi):
+        # spectra reaching both ends of (-1/sigma_1, 0): w_plus sits near the
+        # pole for a small phi or a lone top atom, near 0 for a large phi
+        nu = esd(make_covariance("diagonal", len(entries), entries=entries))
+        phi = 10.0**log_phi
+        edge = find_w_plus(nu, phi)
+        w = edge.w_plus
+        assert -1.0 / nu.top < w < 0.0
+        assert abs(f_eval(w, nu, phi)[1]) <= 1e-10 / w**2
+        zs = [edge.lambda_plus * (1.0 + d) + d for d in (1e-6, 1e-2, 1.0, 1e3)]
+        ms = [solve_m(z, edge) for z in zs]
+        for z, m in zip(zs, ms):
+            assert w < m < 0.0
+            assert abs(f_eval(m, nu, phi)[0] - z) <= 1e-12 * z
+        assert np.all(np.diff(ms) > 0)
+
 
 class TestSolveM:
     def test_round_trip_on_grid(self):
@@ -116,21 +176,13 @@ class TestSolveM:
         (ISO, (-0.3843007326226502, -0.23469326119387474, -0.10592363464399476)),
         (TWO_ATOM, (-0.24656185145049792, -0.17213051431468374, -0.11015929484493833)),
     ], ids=["isotropic", "two-atom"])
-    def test_bisection_stops_at_the_ulp(self, nu, reference, monkeypatch):
+    def test_bisection_stops_at_the_ulp(self, nu, reference, f_eval_calls):
         edge = find_w_plus(nu, 0.5)
-        calls = []
-        evaluate = stieltjes.f_eval
-
-        def counting(*args):
-            calls.append(args[0])
-            return evaluate(*args)
-
-        monkeypatch.setattr(stieltjes, "f_eval", counting)
         for z, m_ref in zip((edge.lambda_plus + 0.5, edge.lambda_plus + 2.0, 10.0),
                             reference):
-            calls.clear()
+            f_eval_calls.clear()
             assert solve_m(z, edge) == pytest.approx(m_ref, rel=1e-14, abs=0)
-            assert len(calls) <= 64
+            assert len(f_eval_calls) <= 64
 
     def test_monotone_in_z(self):
         edge = find_w_plus(TWO_ATOM, 0.7)
