@@ -5,8 +5,8 @@ verify.  Configuration is JSON validated against a published schema with
 unknown keys rejected; every output embeds (directly or through its JSON
 sidecar) the exact configuration and master seed that regenerate it.
 
-Exit codes: 0 ok, 1 config error, 2 numerical failure, 3 verification
-failure.
+Exit codes: 0 ok, 1 config error, 2 numerical failure or out of memory,
+3 verification failure.
 """
 
 from __future__ import annotations
@@ -25,8 +25,10 @@ import warnings
 import numpy as np
 import jsonschema
 
+from . import __version__
 from .errors import ConfigError, SpikelabError, VerificationFailure
-from .spectra import check_assumptions, make_covariance
+from .spectra import make_covariance
+from .stieltjes import check_assumptions
 from .spikes import (
     SignalModel,
     asymptotic_quantities,
@@ -351,13 +353,20 @@ def build_noise(spec: dict | None):
 
 
 class OutputSession:
-    """Tracks files written by one command; used as a context manager, it
-    removes them when the block raises, except on a ``VerificationFailure``,
-    whose report is the result."""
+    """Tracks files written by one command run on ``cfg``; used as a context
+    manager, it removes them when the block raises, except on a
+    ``VerificationFailure``, whose report is the result.  It starts the run's
+    clock when it opens, and ``meta`` is the run record every output embeds."""
 
-    def __init__(self, out_dir: str):
+    def __init__(self, out_dir: str, cfg: dict):
         self.out_dir = out_dir
+        self.cfg = cfg
         self.paths: list[str] = []
+        self.t0 = time.perf_counter()
+
+    def meta(self) -> dict:
+        return {"config": self.cfg, "version": __version__,
+                "wall_time_s": round(time.perf_counter() - self.t0, 3)}
 
     def path(self, name: str) -> str:
         os.makedirs(self.out_dir, exist_ok=True)
@@ -393,18 +402,12 @@ def _fmt(x, sig: int) -> str:
     return format(float(x), f".{sig}g")
 
 
-def _meta(cfg: dict, t0: float) -> dict:
-    from . import __version__
-    return {"config": cfg, "version": __version__,
-            "wall_time_s": round(time.perf_counter() - t0, 3)}
-
-
 # -- subcommand handlers --------------------------------------------------
-# Each takes the validated config, the command's OutputSession and the start
-# time ``main`` read after loading the config; it computes, writes, prints.
+# Each takes the validated config and the command's OutputSession; it
+# computes, writes, prints.
 
 
-def cmd_theory(cfg: dict, session: OutputSession, t0: float):
+def cmd_theory(cfg: dict, session: OutputSession):
     sigma = build_covariance(cfg["covariance"])
     n_dim = cfg["samples"]
     signal = build_signal(cfg["signal"], sigma.dim, n_dim)
@@ -452,10 +455,10 @@ def cmd_theory(cfg: dict, session: OutputSession, t0: float):
             },
         })
     print(session.write_json("theory_report.json", {
-        "report": jsonable(report, sig_digits), "meta": _meta(cfg, t0)}))
+        "report": jsonable(report, sig_digits), "meta": session.meta()}))
 
 
-def cmd_simulate(cfg: dict, session: OutputSession, t0: float):
+def cmd_simulate(cfg: dict, session: OutputSession):
     sigma = build_covariance(cfg["covariance"])
     n_dim = cfg["samples"]
     signal = build_signal(cfg["signal"], sigma.dim, n_dim)
@@ -471,7 +474,7 @@ def cmd_simulate(cfg: dict, session: OutputSession, t0: float):
     samples = run_spike_mc(mc)
     csv_path = session.path("spike_samples.csv")
     samples.to_csv(csv_path, precision=cfg.get("precision", 10))
-    meta = _meta(cfg, t0)
+    meta = session.meta()
     meta["theta"] = jsonable(samples.theory.theta) if samples.theory else None
     meta["K0"] = int(samples.fluctuations.shape[1])
     session.write_json("spike_samples.meta.json", meta)
@@ -499,11 +502,11 @@ def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     return int(np.abs(i * len(b) - j * len(a)).max()) / (len(a) * len(b))
 
 
-def cmd_nonuniversality(cfg: dict, session: OutputSession, t0: float):
-    print(_nonuniversality(session, cfg, cfg.get("reps", 2000), t0))
+def cmd_nonuniversality(cfg: dict, session: OutputSession):
+    print(_nonuniversality(session, cfg, cfg.get("reps", 2000)))
 
 
-def _nonuniversality(session, cfg, reps, t0):
+def _nonuniversality(session, cfg, reps):
     """Spike histograms and pairwise KS distances per law and model; also
     the body of ``reproduce --figure 1``, whose config holds no model keys."""
     m_dim = cfg.get("dim", 200)
@@ -533,17 +536,17 @@ def _nonuniversality(session, cfg, reps, t0):
                   for la, lb in itertools.combinations(laws, 2)}
           for model in ("additive", "multiplicative")}
     session.write_json("nonuniversality_ks.json",
-                       {"ks": jsonable(ks, sig_digits), "meta": _meta(cfg, t0)})
+                       {"ks": jsonable(ks, sig_digits), "meta": session.meta()})
     return hist_path
 
 
-def cmd_calibrate(cfg: dict, session: OutputSession, t0: float):
+def cmd_calibrate(cfg: dict, session: OutputSession):
     cv = calibrate(cfg["k_star"], cfg["n_star"], cfg["reps"],
                    cfg.get("quantile", 0.95), cfg.get("master_seed", 0),
                    workers=cfg.get("threads"))
     print(session.write_json("critical_values.json",
                              {"critical_values": jsonable(vars(cv)),
-                              "meta": _meta(cfg, t0)}))
+                              "meta": session.meta()}))
     print(f"cv_DS={cv.cv_ds:.6g} cv_RS={cv.cv_rs:.6g}")
 
 
@@ -559,7 +562,7 @@ def _critical_values_from_cfg(cfg: dict) -> CriticalValues:
                      cal["quantile"], cal["master_seed"], workers=cfg.get("threads"))
 
 
-def cmd_test(cfg: dict, session: OutputSession, t0: float):
+def cmd_test(cfg: dict, session: OutputSession):
     if "data_csv" in cfg:
         data = _load_data_csv(cfg["data_csv"])
     elif "generate" in cfg:
@@ -579,7 +582,7 @@ def cmd_test(cfg: dict, session: OutputSession, t0: float):
     print(session.write_json("detection.json", {
         "decision": jsonable(vars(result)),
         "critical_values": jsonable(vars(cv)),
-        "meta": _meta(cfg, t0),
+        "meta": session.meta(),
     }))
     print(f"DS={result.ds:.6g} (reject={result.reject_ds}) "
           f"RS={result.rs:.6g} (reject={result.reject_rs})")
@@ -598,13 +601,13 @@ def _load_data_csv(path: str) -> np.ndarray:
     return data
 
 
-def _write_table(session, name, report, cfg, t0, sig_digits):
+def _write_table(session, name, report, sig_digits):
     header, rows = report.to_rows()
     csv_path = session.write_csv(f"{name}.csv", header, [
         [x if isinstance(x, str) else _fmt(x, sig_digits) for x in row]
         for row in rows])
     session.write_json(f"{name}.meta.json", {
-        "meta": _meta(cfg, t0),
+        "meta": session.meta(),
         "critical_values": jsonable(vars(report.cv)),
         "reps": report.reps,
         "master_seed": report.master_seed,
@@ -613,7 +616,7 @@ def _write_table(session, name, report, cfg, t0, sig_digits):
     return csv_path
 
 
-def cmd_reproduce(cfg: dict, session: OutputSession, t0: float):
+def cmd_reproduce(cfg: dict, session: OutputSession):
     target = cfg["target"]
     scale = cfg.get("scale", 1.0)
     seed = cfg.get("master_seed", 0)
@@ -628,37 +631,37 @@ def cmd_reproduce(cfg: dict, session: OutputSession, t0: float):
         else:
             clusters = {"table2": 2, "table3": 3, "table4": 4}[target]
             report = run_power_experiment(clusters, grid, reps, cv, seed, threads)
-        path = _write_table(session, target, report, cfg, t0, sig_digits)
+        path = _write_table(session, target, report, sig_digits)
     elif target == "figure1":
-        path = _nonuniversality(session, cfg, reps, t0)
+        path = _nonuniversality(session, cfg, reps)
     else:  # figure2
-        path = _figure2(session, reps, seed, cfg, t0, sig_digits)
+        path = _figure2(session, reps, seed, threads, sig_digits)
     print(path)
 
 
-def _figure2(session, reps, seed, cfg, t0, sig_digits):
+def _figure2(session, reps, seed, threads, sig_digits):
     """Histograms of the null/alternative DS and RS samples of figure 2."""
     rows = []
-    for m_dim, hypothesis, ds, rs in figure2_samples(reps, seed, cfg.get("threads")):
+    for m_dim, hypothesis, ds, rs in figure2_samples(reps, seed, threads):
         for stat_name, vals in (("DS", ds), ("RS", rs)):
             rows += [(m_dim, hypothesis, stat_name, *row)
                      for row in _histogram_rows(vals, sig_digits)]
     csv_path = session.write_csv(
         "figure2_hist.csv",
         ("dim", "hypothesis", "statistic", "bin_left", "bin_right", "count"), rows)
-    session.write_json("figure2.meta.json", {"meta": _meta(cfg, t0),
+    session.write_json("figure2.meta.json", {"meta": session.meta(),
                                              "reps": reps,
                                              "master_seed": seed})
     return csv_path
 
 
-def cmd_verify(cfg: dict, session: OutputSession, t0: float):
+def cmd_verify(cfg: dict, session: OutputSession):
     report = run_verification(
         n_small=cfg.get("samples", 200), seeds=cfg.get("seeds", 50),
         master_seed=cfg.get("master_seed", 0), workers=cfg.get("threads"),
     )
     print(session.write_json("verification.json",
-                             {**report.to_jsonable(), "meta": _meta(cfg, t0)}))
+                             {**report.to_jsonable(), "meta": session.meta()}))
     for name, chk in report.checks.items():
         print(f"{'PASS' if chk['passed'] else 'FAIL'} {name}")
     if not report.all_passed:
@@ -733,9 +736,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = load_config(args)
-        t0 = time.perf_counter()
-        with OutputSession(args.out) as session:
-            args.func(cfg, session, t0)
+        with OutputSession(args.out, cfg) as session:
+            args.func(cfg, session)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -745,6 +747,9 @@ def main(argv=None) -> int:
         return 3
     except SpikelabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -10,7 +10,10 @@ Pi(z)) or as a diagonal (``diagonal``), and V'x and back (``coordinates``,
 reads).  No dense Sigma^{1/2} is formed: the Monte-Carlo draws apply the
 factor F = Lambda^{1/2} V' (``factor``, ``sqrt_coordinates``), which gives
 Sigma^{1/2} X up to the left rotation V', a rotation that leaves the
-singular values unchanged.  Supported recipes:
+singular values unchanged.  ``esd`` turns a model into its spectral
+distribution nu, and ``newton_in`` is the one scalar root-finder.  This is
+the lowest layer: it imports nothing from the package but ``errors``.
+Supported recipes:
 
   identity        Sigma = I
   diagonal        explicit diagonal entries
@@ -25,14 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
-
-if TYPE_CHECKING:
-    from .stieltjes import EdgeData   # stieltjes depends on spectra
 
 
 def haar_orthogonal(gaussian: np.ndarray) -> np.ndarray:
@@ -293,51 +292,3 @@ def esd(model: CovarianceModel) -> SpectralDistribution:
     """
     values, counts = np.unique(model.eigenvalues, return_counts=True)
     return SpectralDistribution(values, counts / model.dim, multiplicities=counts)
-
-
-@dataclass(frozen=True)
-class AssumptionCheck:
-    ok: bool
-    margin: float
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Result of checking the regularity assumptions at tolerance tau.
-
-    Margins are signed; negative means violated, except ``edge`` whose
-    margin is the measured value w_plus + 1/sigma_1 (pass iff >= tau).
-    """
-
-    tau: float
-    phi: float
-    aspect_ratio: AssumptionCheck    # phi in [tau, 1/tau]
-    norm_bound: AssumptionCheck      # sigma_1 <= 1/tau
-    low_mass: AssumptionCheck        # nu([0, tau]) <= 1 - tau
-    edge_regularity: AssumptionCheck # w_plus + 1/sigma_1 >= tau
-
-    @property
-    def all_ok(self) -> bool:
-        return (self.aspect_ratio.ok and self.norm_bound.ok
-                and self.low_mass.ok and self.edge_regularity.ok)
-
-
-def check_assumptions(edge: EdgeData, tau: float) -> AssumptionReport:
-    """Check the high-dimensional regularity assumptions on a solved noise
-    bulk (nu, phi and w_plus from ``edge``); never raises on a violation, it
-    reports the measured margin instead."""
-    if not 0 < tau < 1:
-        raise ConfigError(f"tau must lie in (0, 1), got {tau}")
-    phi, nu = edge.phi, edge.nu
-    aspect = AssumptionCheck(
-        tau <= phi <= 1.0 / tau, min(phi - tau, 1.0 / tau - phi)
-    )
-    sigma1 = nu.top
-    norm = AssumptionCheck(sigma1 <= 1.0 / tau, 1.0 / tau - sigma1)
-
-    mass = nu.mass_below(tau)
-    low_mass = AssumptionCheck(mass <= 1.0 - tau, (1.0 - tau) - mass)
-
-    value = edge.w_plus + 1.0 / sigma1
-    return AssumptionReport(tau, phi, aspect, norm, low_mass,
-                            AssumptionCheck(value >= tau, value))

@@ -12,7 +12,9 @@ stationary point of f on (-1/s_max, 0).  Both roots, w_plus and m(z) with
 f(m) = z on (w_plus, 0), are found by ``spectra.newton_in``: Newton steps
 kept inside a bracket.  The pair (nu, phi) fixes the noise bulk, and
 ``find_w_plus`` solves it once into an ``EdgeData`` holding nu, phi and the
-edge; m(z) and theta(sigma_tilde) read everything from that one object.
+edge; m(z) and theta(sigma_tilde) read everything from that one object,
+and so does ``check_assumptions``, which reports the regularity margins of
+(nu, phi, w_plus) without raising.
 The divided difference m[z, z*] is formed in ``locallaw.divided_difference``
 from the m and m' its Pi(z) already holds.  All functions here work with
 eigenvalue atoms only; no matrix inverses are formed.
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, SubcriticalError
+from .errors import ConfigError, DomainError, NumericalError, SubcriticalError
 from .spectra import SpectralDistribution, newton_in
 
 _POLE_TOL = 1e-14
@@ -84,10 +86,13 @@ def find_w_plus(nu: SpectralDistribution, phi: float) -> EdgeData:
     """Locate the critical point w_plus in (-1/s_max, 0) and the edge.
 
     f' decreases to -inf at the left endpoint (the top atom's pole) and
-    grows like 1/w^2 at 0-, with a unique zero in between; f'' > 0 there,
-    so ``newton_in`` finds it inside (-1/s_max, 0), shrunk by 1e-12
-    relative at both ends, starting from the isotropic value
-    -1 / (s_max (1 + sqrt(phi))).
+    grows like 1/w^2 at 0-, with a unique zero in between.  There
+    g = 1 - w^2 f' = phi w^2 sum_i p_i (s_i / (1 + s_i w))^2 crosses 1, so
+    w_plus is the root of h = g^{-1/2} - 1, which increases and is nearly
+    linear at the pole, where f' is not: Newton on f' climbs out of the
+    pole a third of the way per step.  ``newton_in`` finds that root
+    inside (-1/s_max, 0), shrunk by 1e-12 relative at both ends, starting
+    from the isotropic value -1 / (s_max (1 + sqrt(phi))).
     """
     sigma1 = nu.top
     if sigma1 <= 0:
@@ -102,8 +107,13 @@ def find_w_plus(nu: SpectralDistribution, phi: float) -> EdgeData:
             "failed to bracket the stationary point of f'; "
             f"f' is {f1_lo:.3e} and {f1_hi:.3e} at the bracket's ends"
         )
-    w = newton_in(lambda w: f_eval(w, nu, phi)[1:], lo, hi,
-                  -1.0 / (sigma1 * (1.0 + math.sqrt(phi))))
+
+    def h(w):
+        _, f1, f2 = f_eval(w, nu, phi)
+        g = 1.0 - w * w * f1
+        return g**-0.5 - 1.0, 0.5 * g**-1.5 * (2.0 * w * f1 + w * w * f2)
+
+    w = newton_in(h, lo, hi, -1.0 / (sigma1 * (1.0 + math.sqrt(phi))))
 
     f0, f1, f2 = f_eval(w, nu, phi)
     if abs(f1) > 1e-10 / w**2:
@@ -160,3 +170,51 @@ def theta_map(sigma_tilde: float, edge: EdgeData):
     theta = sigma_tilde + phi * float(p @ (sigma_tilde * s / gap))
     theta_prime = 1.0 - phi * float(p @ (s / gap) ** 2)
     return theta, theta_prime
+
+
+@dataclass(frozen=True)
+class AssumptionCheck:
+    ok: bool
+    margin: float
+
+
+@dataclass(frozen=True)
+class AssumptionReport:
+    """Result of checking the regularity assumptions at tolerance tau.
+
+    Margins are signed; negative means violated, except ``edge`` whose
+    margin is the measured value w_plus + 1/sigma_1 (pass iff >= tau).
+    """
+
+    tau: float
+    phi: float
+    aspect_ratio: AssumptionCheck    # phi in [tau, 1/tau]
+    norm_bound: AssumptionCheck      # sigma_1 <= 1/tau
+    low_mass: AssumptionCheck        # nu([0, tau]) <= 1 - tau
+    edge_regularity: AssumptionCheck # w_plus + 1/sigma_1 >= tau
+
+    @property
+    def all_ok(self) -> bool:
+        return (self.aspect_ratio.ok and self.norm_bound.ok
+                and self.low_mass.ok and self.edge_regularity.ok)
+
+
+def check_assumptions(edge: EdgeData, tau: float) -> AssumptionReport:
+    """Check the high-dimensional regularity assumptions on a solved noise
+    bulk (nu, phi and w_plus from ``edge``); never raises on a violation, it
+    reports the measured margin instead."""
+    if not 0 < tau < 1:
+        raise ConfigError(f"tau must lie in (0, 1), got {tau}")
+    phi, nu = edge.phi, edge.nu
+    aspect = AssumptionCheck(
+        tau <= phi <= 1.0 / tau, min(phi - tau, 1.0 / tau - phi)
+    )
+    sigma1 = nu.top
+    norm = AssumptionCheck(sigma1 <= 1.0 / tau, 1.0 / tau - sigma1)
+
+    mass = nu.mass_below(tau)
+    low_mass = AssumptionCheck(mass <= 1.0 - tau, (1.0 - tau) - mass)
+
+    value = edge.w_plus + 1.0 / sigma1
+    return AssumptionReport(tau, phi, aspect, norm, low_mass,
+                            AssumptionCheck(value >= tau, value))

@@ -51,11 +51,9 @@ class VerificationReport:
     checks: dict = field(default_factory=dict)
     skipped_seeds: int = 0
 
-    def add(self, name, value, passed, threshold=None):
-        entry = {"value": value, "passed": bool(passed)}
-        if threshold is not None:
-            entry["threshold"] = threshold
-        self.checks[name] = entry
+    def add(self, name, value, passed, threshold):
+        self.checks[name] = {"value": value, "passed": bool(passed),
+                             "threshold": threshold}
 
     @property
     def all_passed(self) -> bool:

@@ -306,18 +306,57 @@ def test_ks_distance_is_the_exact_two_sample_statistic(n_a, n_b):
         assert cli._ks_distance(a, b) == ks_2samp(a, b).statistic
 
 
-def test_nonuniversality_imports_no_scipy(tmp_path):
-    code = ("import sys\n"
-            "from spikelab import cli\n"
-            f"rc = cli.main(['nonuniversality', '--reps', '20', '--out', {str(tmp_path)!r}])\n"
-            "print(rc, 'scipy' in sys.modules)\n")
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this spikelab."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
+
+
+def test_nonuniversality_imports_no_scipy(tmp_path):
+    proc = run_python(
+        "import sys\n"
+        "from spikelab import cli\n"
+        f"rc = cli.main(['nonuniversality', '--reps', '20', '--out', {str(tmp_path)!r}])\n"
+        "print(rc, 'scipy' in sys.modules)\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("module, absent", [
+    ("spikelab", "spikelab."),                    # the root loads no submodule
+    ("spikelab.spectra", "spikelab.stieltjes"),   # the lowest layer stands alone
+])
+def test_import_loads_no_higher_layer(module, absent):
+    proc = run_python(f"import sys, {module}\n"
+                      "print(*sorted(m for m in sys.modules if m.startswith('spikelab')))\n")
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert not any(m.startswith(absent) for m in loaded), loaded
+
+
+@pytest.mark.parametrize("command, cfg", [
+    # the toeplitz basis alone is 298 GiB
+    ("theory", dict(THEORY_CFG, covariance={"recipe": "toeplitz", "dim": 200000,
+                                            "rho": 0.1})),
+    # the M x N shift alone is 149 GiB
+    ("simulate", dict(THEORY_CFG, covariance={"recipe": "identity", "dim": 100000},
+                      samples=200000, reps=2)),
+], ids=["theory-toeplitz", "simulate-identity"])
+def test_out_of_memory_is_one_line(tmp_path, command, cfg):
+    # the address-space limit is set in the child only
+    proc = run_python(
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+        "from spikelab.cli import main\n"
+        f"sys.exit(main([{command!r}, '--config', {write_config(tmp_path, cfg)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]))\n")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("out of memory: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not list(tmp_path.glob("out/*"))
 
 
 @pytest.mark.parametrize("argv", [
@@ -443,7 +482,7 @@ def test_parser_is_built_once(tmp_path, monkeypatch):
 
 def test_output_session_removes_partial_files(tmp_path):
     with pytest.raises(RuntimeError):
-        with OutputSession(str(tmp_path)) as session:
+        with OutputSession(str(tmp_path), {}) as session:
             session.write_json("partial.json", {})
             raise RuntimeError("failure after a write")
     assert list(tmp_path.iterdir()) == []

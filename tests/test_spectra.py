@@ -8,14 +8,8 @@ from hypothesis import strategies as st
 
 from spikelab.ensemble import top_eigs
 from spikelab.errors import DomainError
-from spikelab.spectra import (
-    check_assumptions,
-    esd,
-    haar_orthogonal,
-    make_covariance,
-    newton_in,
-)
-from spikelab.stieltjes import find_w_plus
+from spikelab.spectra import esd, haar_orthogonal, make_covariance, newton_in
+from spikelab.stieltjes import check_assumptions, find_w_plus
 
 
 EPS = np.finfo(float).eps
