@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
 Subcommands: theory, simulate, nonuniversality, calibrate, test, reproduce,
-verify.  Configuration is JSON validated against a published schema with
-unknown keys rejected; every output embeds (directly or through its JSON
-sidecar) the exact configuration and master seed that regenerate it.
+verify.  Configuration is JSON checked against ``CONFIG_SCHEMAS`` by this
+module's validator of the JSON Schema keywords they use (jsonschema is only the
+tests' oracle), unknown keys rejected; every output embeds (directly or through
+its JSON sidecar) the exact configuration and master seed that regenerate it.
 
 Exit codes: 0 ok, 1 config error, 2 numerical failure or out of memory,
 3 verification failure.
@@ -17,13 +18,13 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 import time
 import warnings
 
 import numpy as np
-import jsonschema
 
 from . import __version__
 from .errors import ConfigError, SpikelabError, VerificationFailure
@@ -73,7 +74,7 @@ def _tagged(key: str, variants: dict) -> dict:
         "required": [key],
         "allOf": [
             {"if": {"properties": {key: {"const": tag}}, "required": [key]},
-             "then": {"properties": {key: True, **props},
+             "then": {"properties": {key: {}, **props},
                       "required": [key, *required], "additionalProperties": False}}
             for tag, (props, required) in variants.items()
         ],
@@ -238,9 +239,67 @@ CONFIG_SCHEMAS = {
     },
 }
 
-# built once: the test suite checks the schemas, not every load
-_VALIDATORS = {command: jsonschema.validators.validator_for(schema)(schema)
-               for command, schema in CONFIG_SCHEMAS.items()}
+# -- config validation ----------------------------------------------------
+# jsonschema's wording for the keywords CONFIG_SCHEMAS uses.  A bool is neither
+# an integer nor a number, an integral float is an integer; enums hold strings.
+
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "number": (int, float), "integer": int}
+_BOUNDS = {"minimum": (operator.lt, "less than the minimum of"),
+           "maximum": (operator.gt, "greater than the maximum of"),
+           "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+           "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of")}
+
+
+def _is_type(value, name: str) -> bool:
+    if isinstance(value, bool):
+        return name == "boolean"
+    if name == "integer" and isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, _JSON_TYPES[name])
+
+
+def _schema_errors(schema: dict, value, path=()):
+    """(path, message) for each way ``value`` breaks ``schema``, in jsonschema's
+    order.  An integral float in a checked ``integer`` field becomes an int."""
+    is_dict, is_list = isinstance(value, dict), isinstance(value, list)
+    for key, rule in schema.items():
+        if key == "type" and not _is_type(value, rule):
+            yield path, f"{value!r} is not of type {rule!r}"
+        elif key == "enum" and value not in rule:
+            yield path, f"{value!r} is not one of {rule!r}"
+        elif key == "const" and value != rule:
+            yield path, f"{rule!r} was expected"
+        elif key in _BOUNDS and _is_type(value, "number") and _BOUNDS[key][0](value, rule):
+            yield path, f"{value!r} is {_BOUNDS[key][1]} {rule!r}"
+        elif key == "required" and is_dict:
+            yield from ((path, f"{name!r} is a required property")
+                        for name in rule if name not in value)
+        elif key == "properties" and is_dict:
+            for name, sub in rule.items():
+                if name in value:
+                    yield from _schema_errors(sub, value[name], (*path, name))
+                    if sub.get("type") == "integer" and _is_type(value[name], "integer"):
+                        value[name] = int(value[name])
+        elif key == "additionalProperties" and is_dict:
+            extra = sorted(name for name in value if name not in schema["properties"])
+            if extra:
+                yield path, ("Additional properties are not allowed ("
+                             f"{', '.join(map(repr, extra))} "
+                             f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+        elif key == "items" and is_list:
+            for i, item in enumerate(value):
+                yield from _schema_errors(rule, item, (*path, i))
+        elif key == "minItems" and is_list and len(value) < rule:
+            yield path, f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}"
+        elif key == "maxItems" and is_list and len(value) > rule:
+            yield path, f"{value!r} is too long"
+        elif key == "allOf":
+            for sub in rule:
+                yield from _schema_errors(sub, value, path)
+        elif key == "if" and not any(_schema_errors(rule, value, path)):
+            yield from _schema_errors(schema["then"], value, path)
+
 
 _BASE_REPS = {"table1": 10000, "table2": 10000, "table3": 10000,
               "table4": 10000, "figure1": 5000, "figure2": 5000}
@@ -275,10 +334,11 @@ def load_config(args) -> dict:
             cfg[key] = getattr(args, flag)
     for bad in _non_finite_fields(cfg):
         raise ConfigError(f"config field {'/'.join(map(str, bad))}: not a finite number")
-    error = jsonschema.exceptions.best_match(_VALIDATORS[args.command].iter_errors(cfg))
-    if error is not None:
-        loc = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config field {loc}: {error.message}") from error
+    # the first error at the shallowest field; best_match too prefers the shallowest
+    errors = list(_schema_errors(CONFIG_SCHEMAS[args.command], cfg))
+    if errors:
+        path, message = min(errors, key=lambda error: len(error[0]))
+        raise ConfigError(f"config field {'/'.join(map(str, path)) or '<root>'}: {message}")
     return cfg
 
 

@@ -1,7 +1,9 @@
 """Shared fixtures; the heavy Monte-Carlo runs are session-scoped and cached
-so module tests and the acceptance suite never repeat a simulation."""
+so module tests and the acceptance suite never repeat a simulation; they
+run on every CPU, which the reproducibility contract says moves no value."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -64,6 +66,7 @@ def mc_runs(localized_setup):
                 sigma, signal, make_noise_law(law_kind), reps=MC_REPS,
                 master_seed=MC_SEED + 7 * len(cache),
                 model=model, couple_theta=(model == "additive"),
+                workers=os.cpu_count(),
             )
             cache[key] = run_spike_mc(cfg)
         return cache[key]
@@ -75,7 +78,7 @@ def mc_runs(localized_setup):
 def cv_full():
     """Critical values at the published calibration size (K*=4, N*=100,
     30000 replications)."""
-    return calibrate(4, 100, 30000, master_seed=20240501)
+    return calibrate(4, 100, 30000, master_seed=20240501, workers=os.cpu_count())
 
 
 @pytest.fixture(scope="session")
@@ -88,7 +91,8 @@ def rate_medians():
         sigma = make_covariance("identity", m_dim)
         signal = SignalModel.localized(math.sqrt(GEOM["d2"]), m_dim, n_dim)
         run = run_spike_mc(SpikeMCConfig(sigma, signal, law, reps=500,
-                                         master_seed=314, n_top=1))
+                                         master_seed=314, n_top=1,
+                                         workers=os.cpu_count()))
         theta = run.theory.theta[0]
         out[n_dim] = float(np.median(np.abs(run.lambdas[:, 0] - theta)))
     return out

@@ -6,6 +6,7 @@ is pinned; nothing is calibrated at run time.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -42,7 +43,8 @@ def verification_report():
 
 @pytest.fixture(scope="module")
 def size_table(cv_full):
-    return run_size_experiment(default_grid(), 2000, cv_full, master_seed=611)
+    return run_size_experiment(default_grid(), 2000, cv_full, master_seed=611,
+                               workers=os.cpu_count())
 
 
 def test_criterion_01_edge_closed_forms():
@@ -195,7 +197,7 @@ def test_criterion_12_power_cells(cv_full):
     rates = {}
     for name, (clusters, cell) in cells.items():
         rep = run_power_experiment(clusters, [cell], 1000, cv_full,
-                                   master_seed=713)
+                                   master_seed=713, workers=os.cpu_count())
         rates[name] = (float(rep.rates_ds[0]), float(rep.rates_rs[0]))
     ok = (rates["k2_iso"][0] >= 0.99 and 0.60 <= rates["k2_iso"][1] <= 0.82
           and rates["k2_haar"][0] >= 0.95 and rates["k2_haar"][1] <= 0.65

@@ -1,6 +1,10 @@
+import argparse
+import copy
+import functools
 import itertools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -9,6 +13,8 @@ import time
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikelab import cli, spikes, stieltjes
 from spikelab.cli import CONFIG_SCHEMAS, OutputSession, main
@@ -25,6 +31,13 @@ THEORY_CFG = {
     "covariance": {"recipe": "identity", "dim": 200},
     "signal": {"kind": "localized", "strength_sq": 5.25},
     "noise": {"kind": "gaussian"},
+    "samples": 400,
+}
+
+README_THEORY_CFG = {
+    "covariance": {"recipe": "toeplitz", "dim": 200, "rho": 0.1},
+    "signal": {"kind": "localized", "strength_sq": 5.25},
+    "noise": {"kind": "three-point"},
     "samples": 400,
 }
 
@@ -315,6 +328,18 @@ def run_python(code: str) -> subprocess.CompletedProcess:
                           text=True, timeout=300)
 
 
+def test_cli_runs_without_jsonschema(tmp_path):
+    cfg = write_config(tmp_path, THEORY_CFG)
+    proc = run_python(
+        "import sys\n"
+        "from spikelab import cli\n"
+        "imported = 'jsonschema' in sys.modules\n"
+        f"rc = cli.main(['theory', '--config', {cfg!r}, '--out', {str(tmp_path)!r}])\n"
+        "print(imported, rc, 'jsonschema' in sys.modules)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False 0 False"
+
+
 def test_nonuniversality_imports_no_scipy(tmp_path):
     proc = run_python(
         "import sys\n"
@@ -453,9 +478,11 @@ def test_misshapen_config_array_is_config_error(tmp_path, capsys, covariance, si
      1, "config error: unknown assignment rule 'random'"),
     (dict(THEORY_CFG, signal={"kind": "localized", "strength_sq": 1e300}),
      2, "numerical failure: spike 1e+300 is too strong"),
+    (dict(THEORY_CFG, signal={"kind": "localized", "strength_sq": 1e308}),
+     2, "numerical failure: eigenvalue scale 1e+308 is too large to bisect in float64\n"),
 ], ids=["discrete-lengths", "strengths-above-dim", "samples-below-clusters",
         "negative-signal-seed", "negative-haar-seed", "unknown-assignment",
-        "overflowing-strength"])
+        "overflowing-strength", "unbisectable-strength"])
 def test_bad_theory_config_exits_with_one_line(tmp_path, capsys, cfg, code, message):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
@@ -499,7 +526,9 @@ def test_config_schema_is_valid(command):
     dict(THEORY_CFG, samples="400"),
     dict(THEORY_CFG, covariance={"recipe": "toeplitz", "dim": 3}),
     {k: v for k, v in THEORY_CFG.items() if k != "samples"},
-], ids=["unknown-key", "wrong-type", "no-recipe-matches", "missing-required"])
+    dict(THEORY_CFG, zeta=1, alpha=2),
+], ids=["unknown-key", "wrong-type", "no-recipe-matches", "missing-required",
+        "two-unknown-keys"])
 def test_schema_error_is_the_one_validate_reports(tmp_path, capsys, cfg):
     with pytest.raises(jsonschema.ValidationError) as exc:
         jsonschema.validate(cfg, CONFIG_SCHEMAS["theory"])
@@ -508,6 +537,191 @@ def test_schema_error_is_the_one_validate_reports(tmp_path, capsys, cfg):
     assert main(["theory", "--config", path, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == (
         f"config error: config field {loc}: {exc.value.message}\n")
+
+
+SIMULATE_CFG = {"covariance": {"recipe": "identity", "dim": 20},
+                "signal": {"kind": "localized", "strength_sq": 5.25},
+                "samples": 40, "reps": 3}
+
+
+@pytest.mark.parametrize("command, cfg, as_float, output", [
+    ("simulate", SIMULATE_CFG, dict(SIMULATE_CFG, samples=40.0), "spike_samples.csv"),
+    ("theory", README_THEORY_CFG, dict(README_THEORY_CFG, covariance={
+        "recipe": "toeplitz", "dim": 200.0, "rho": 0.1}), "theory_report.json"),
+    ("theory", dict(THEORY_CFG, precision=10), dict(THEORY_CFG, precision=10.0),
+     "theory_report.json"),
+], ids=["simulate-samples", "theory-dim", "theory-precision"])
+def test_integral_float_is_an_integer(tmp_path, command, cfg, as_float, output):
+    # JSON Schema counts 40.0 as an integer; the handler must see 40
+    outputs = []
+    for name, payload in (("int", cfg), ("float", as_float)):
+        out = tmp_path / name
+        path = write_config(tmp_path, payload, f"{name}.json")
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        if output.endswith(".json"):
+            report = json.loads((out / output).read_text())
+            report["meta"].pop("wall_time_s")
+            outputs.append(report)
+        else:
+            outputs.append((out / output).read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+# -- the config validator against jsonschema ------------------------------
+
+
+def _subschemas(schema):
+    yield schema
+    for value in schema.values():
+        for sub in (value.values() if isinstance(value, dict)
+                    else value if isinstance(value, list) else ()):
+            if isinstance(sub, dict):
+                yield from _subschemas(sub)
+
+
+_ALL_SCHEMAS = [sub for schema in CONFIG_SCHEMAS.values() for sub in _subschemas(schema)]
+_KEYS = sorted({key for sub in _ALL_SCHEMAS for key in sub.get("properties", {})}
+               | {"extra"})
+_TAGS = sorted({tag for sub in _ALL_SCHEMAS for tag in sub.get("enum", [])})
+
+
+def _field_bounds():
+    """Field name -> the numbers at and one step past each of its bounds; an
+    integral one appears both as an int and as a float."""
+    bounds = {}
+    for sub in _ALL_SCHEMAS:
+        for name, field in sub.get("properties", {}).items():
+            for kw, b in field.items():
+                if kw in ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"):
+                    bounds.setdefault(name, {}).update(
+                        {repr(x): x for step in (-1, -0.5, 0, 0.5, 1)
+                         for x in (b + step, float(b + step))})
+    return {name: sorted(values.values(), key=float) for name, values in bounds.items()}
+
+
+_FIELD_BOUNDS = _field_bounds()
+_BOUND_VALUES = sorted({repr(v): v for values in _FIELD_BOUNDS.values()
+                        for v in values}.values(), key=float)
+_OTHER_TYPES = ["400", True, None, [], {}, [1.0], {"kind": "gaussian"}]
+
+# the README and CI configs, with one block per tag the schemas know
+_BASE_CONFIGS = [
+    ("theory", README_THEORY_CFG),
+    ("theory", {"covariance": {"recipe": "toeplitz", "dim": 800, "rho": 0.2},
+                "signal": {"kind": "random-svd", "strengths": [3.0, 2.5, 2.0], "seed": 7},
+                "samples": 1600}),
+    ("theory", {"covariance": {"recipe": "diagonal", "dim": 4,
+                               "entries": [2.0, 2.0, 1.0, 1.0]},
+                "signal": {"kind": "mixture", "clusters": 2, "seed": 8, "scale": 1.0},
+                "noise": {"kind": "discrete", "atoms": [-1, 1], "probs": [0.5, 0.5]},
+                "samples": 80, "tau": 0.01, "precision": 17}),
+    ("theory", {"covariance": {"recipe": "haar", "dim": 20, "bounds": [1, 2], "seed": 1},
+                "signal": {"kind": "mixture-explicit", "centers": [[1.0, -1.0] for _ in range(20)],
+                           "assignment": "equal"},
+                "samples": 40}),
+    ("theory", {"covariance": {"recipe": "identity", "dim": 3},
+                "signal": {"kind": "random-svd", "strengths": [3.0], "seed": 1},
+                "samples": 6}),
+    ("theory", {"covariance": {"recipe": "dense", "dim": 2, "matrix": [[1, 0], [0, 1]]},
+                "signal": {"kind": "localized", "strength_sq": 5.0, "row": 1, "col": 1},
+                "samples": 4}),
+    ("simulate", {**README_THEORY_CFG, "reps": 2000, "couple_theta": True,
+                  "model": "additive", "n_top": 2, "master_seed": 3, "threads": 2}),
+    ("test", {"k_star": 3,
+              "generate": {"covariance": {"recipe": "diagonal", "dim": 10,
+                                          "entries": [1.0, 1.1, 1.2, 1.3, 1.4,
+                                                      1.5, 1.6, 1.7, 1.8, 1.9]},
+                           "samples": 40, "clusters": 2},
+              "calibration": {"k_star": 3, "n_star": 50, "reps": 200}}),
+    ("test", {"k_star": 4, **CVS, "data_csv": "data.csv", "center": True}),
+    ("calibrate", {"k_star": 4, "n_star": 100, "reps": 100, "threads": 2,
+                   "quantile": 0.95, "master_seed": 0}),
+    ("reproduce", {"target": "table1", "scale": 0.01, "threads": 2,
+                   "calibration": {"k_star": 4, "n_star": 100, "reps": 300}}),
+    ("reproduce", {"target": "figure2", "scale": 0.001}),
+    ("nonuniversality", {"reps": 20, "dim": 200, "samples": 400, "strength_sq": 5.25,
+                         "laws": ["gaussian", "three-point"], "precision": 10}),
+    ("verify", {"samples": 200, "seeds": 50, "threads": 2}),
+]
+
+
+def _nodes(value, path=()):
+    yield path, value
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _nodes(item, (*path, key))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A README or CI config with one to three mutations: a key dropped, added
+    or retyped, a number at or past a schema bound, an array one item short or
+    long, a tag swapped."""
+    command, cfg = draw(st.sampled_from(_BASE_CONFIGS))
+    cfg = copy.deepcopy(cfg)
+    for _ in range(draw(st.integers(1, 3))):
+        path, node = draw(st.sampled_from(list(_nodes(cfg))))
+        parent = functools.reduce(operator.getitem, path[:-1], cfg)
+        ops = (["add"] if isinstance(node, dict) else []) + (
+            ["drop", "retype"] if path else []) + (
+            ["bound"] if isinstance(node, (int, float)) else []) + (
+            ["tag"] if isinstance(node, str) else []) + (
+            ["shorten", "lengthen"] if isinstance(node, list) else [])
+        op = draw(st.sampled_from(ops))
+        if op == "add":
+            node[draw(st.sampled_from(_KEYS))] = copy.deepcopy(draw(st.sampled_from(
+                _OTHER_TYPES + _BOUND_VALUES + _TAGS)))
+        elif op == "drop":
+            del parent[path[-1]]
+        elif op == "retype":
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(_OTHER_TYPES)))
+        elif op == "bound":
+            own = _FIELD_BOUNDS.get(path[-1]) or _BOUND_VALUES
+            parent[path[-1]] = draw(st.sampled_from(own + [1e300, -1e300]))
+        elif op == "tag":
+            parent[path[-1]] = draw(st.sampled_from(_TAGS + ["unknown"]))
+        elif op == "shorten":
+            node[-1:] = []
+        else:
+            node.append(node[-1] if node else 1.0)
+    return command, cfg
+
+
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("oracle") / "cfg.json")
+
+
+def _line(path, message):
+    return f"config field {'/'.join(map(str, path)) or '<root>'}: {message}"
+
+
+@given(mutated_configs())
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_validator_agrees_with_jsonschema(config_file, command_cfg):
+    command, cfg = command_cfg
+    schema = CONFIG_SCHEMAS[command]
+    oracle = jsonschema.validators.validator_for(schema)(schema)
+    theirs = [(tuple(e.absolute_path), e.message) for e in oracle.iter_errors(cfg)]
+    ours = list(cli._schema_errors(schema, copy.deepcopy(cfg)))
+    # the same decision, every error one of jsonschema's, in jsonschema's order
+    assert ours == theirs
+    with open(config_file, "w") as fh:
+        json.dump(cfg, fh)
+    args = argparse.Namespace(command=command, config=config_file)
+    if not theirs:
+        cli.load_config(args)
+        return
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.load_config(args)
+    # with several errors, best_match's choice among them varies by version;
+    # the validator reports the first at the shallowest field
+    if len(theirs) == 1:
+        best = jsonschema.exceptions.best_match(oracle.iter_errors(cfg))
+        assert str(exc.value) == _line(best.absolute_path, best.message)
+    else:
+        assert str(exc.value) == _line(*min(theirs, key=lambda error: len(error[0])))
 
 
 class TestVerifyCli:

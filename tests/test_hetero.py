@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ class TestCalibration:
         # quantile Monte-Carlo error oracle: relative SE of the 95% empirical
         # quantile at 30000 reps is ~0.5% for DS and ~1.2% for RS, so two
         # independent calibrations differ by < 2% resp. < 5% with margin
-        other = calibrate(4, 100, 30000, master_seed=987654)
+        other = calibrate(4, 100, 30000, master_seed=987654, workers=os.cpu_count())
         assert abs(other.cv_ds - cv_full.cv_ds) / cv_full.cv_ds < 0.02
         assert abs(other.cv_rs - cv_full.cv_rs) / cv_full.cv_rs < 0.05
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikelab.errors import CapabilityError, DomainError
+from spikelab import spikes
+from spikelab.errors import CapabilityError, DomainError, NumericalError
 from spikelab.spectra import make_covariance
 from spikelab.stieltjes import find_w_plus
 from spikelab.spikes import (
@@ -238,6 +239,20 @@ class TestAsymptoticQuantities:
         assert theta_component_cf(t, flipped, law, 120) == pytest.approx(
             theta_component_cf(t, base, law, 120), abs=1e-12
         )
+
+    @pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9], ids=["below", "above"])
+    def test_strongest_spike_guard_boundary(self, factor):
+        # sigma_tilde = 1 + strength_sq on identity Sigma, a hair either side
+        sigma = make_covariance("identity", 20)
+        signal = SignalModel.localized(math.sqrt(spikes._SIGMA_TILDE_MAX * factor), 20, 40)
+        pop = deform(sigma, signal, 0.01)
+        assert (pop.sigma_tilde[0] > spikes._SIGMA_TILDE_MAX) == (factor > 1)
+        if factor > 1:
+            with pytest.raises(NumericalError, match="too strong"):
+                asymptotic_quantities(sigma, signal, pop, GAUSS, 40)
+        else:
+            theory = asymptotic_quantities(sigma, signal, pop, GAUSS, 40)
+            assert np.isfinite(theory.theta).all() and np.isfinite(theory.gauss_cov).all()
 
 
 class TestReductionCheck:
