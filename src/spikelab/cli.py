@@ -426,6 +426,7 @@ class OutputSession:
 
     def meta(self) -> dict:
         return {"config": self.cfg, "version": __version__,
+                "stream_version": 2,   # 2: white Gaussian nulls drawn bidiagonally
                 "wall_time_s": round(time.perf_counter() - self.t0, 3)}
 
     def path(self, name: str) -> str:

@@ -21,6 +21,7 @@ for RS.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,12 @@ from .errors import ConfigError, DegenerateSpectrumError, DomainError
 from .spectra import CovarianceModel, haar_orthogonal, make_covariance
 from .ensemble import (
     NoiseLaw,
+    _pool_size,
     equal_split_labels,
     make_noise_law,
     map_chunks,
     rep_bytes,
+    rep_chunks,
     stream,
     top_eigs,
 )
@@ -97,8 +100,8 @@ def calibrate(k_star: int, n_star: int, reps: int, quantile: float = 0.95,
               master_seed: int = 0, workers=None) -> CriticalValues:
     """Calibrate critical values from a null Wishart ensemble.
 
-    Each replication draws an n* x n* standard Gaussian matrix through
-    ``draw_data`` and forms both statistics with ``ds_rs_from_data``, a
+    Each replication draws the top 2K*-1 eigenvalues of an n* x n* white
+    Wishart matrix (``null_top_eigs``) and forms both statistics from them, a
     chunk of replications at a time; the cutoffs are nearest-rank quantiles
     of the two Monte-Carlo samples.  Bit-identical given (all fields,
     master_seed), at any worker count.
@@ -111,8 +114,7 @@ def calibrate(k_star: int, n_star: int, reps: int, quantile: float = 0.95,
         raise ConfigError(f"n_star={n_star} is below 2K*-1 = {2 * k_star - 1}")
     null = Scenario(n_star, n_star, make_noise_law("gaussian"),
                     make_covariance("identity", n_star))
-    ds_vals, rs_vals = _map_draws(null, lambda data: ds_rs_from_data(data, k_star),
-                                  reps, workers, master_seed)
+    ds_vals, rs_vals = _map_draws(null, k_star, reps, workers, master_seed)
     return CriticalValues(
         k_star=k_star, n_star=n_star, reps=reps, quantile=quantile,
         cv_ds=nearest_rank_quantile(ds_vals, quantile),
@@ -293,27 +295,89 @@ def draw_data(scenario: Scenario, rngs) -> np.ndarray:
     return data
 
 
-def _map_draws(scenario: Scenario, stats, reps: int, workers, *path: int) -> tuple:
-    """``stats`` of ``reps`` draws of ``scenario``, replication ``rep``
-    drawing from ``stream(*path, rep)``: a chunk of draws at a time
-    (``map_chunks``), concatenated in replication order."""
-    nbytes = rep_bytes(scenario.m, scenario.n)
-    if isinstance(scenario.sigma, tuple):   # the Gaussian matrix, O' and F
-        nbytes += 3 * 8 * scenario.m ** 2
-    return map_chunks(
-        lambda block: stats(draw_data(scenario, [stream(*path, rep) for rep in block])),
-        reps, workers, nbytes)
+def null_top_eigs(scenario: Scenario, rngs, r: int) -> np.ndarray:
+    """Top r eigenvalues of (X/sqrt(N))(X/sqrt(N))' for an M x N standard
+    Gaussian X, one draw per generator (shape (len(rngs), r)), as those of
+    B B'/N: B is p x p lower bidiagonal, diagonal chi_q, ..., chi_(q-p+1) and
+    subdiagonal chi_(p-1), ..., chi_1, p = min(M, N), q = max(M, N) (Dumitriu
+    & Edelman 2002); a generator draws the diagonal's chi^2, then the rest."""
+    p, q = sorted((scenario.m, scenario.n))
+    dofs = np.concatenate([np.arange(q, q - p, -1), np.arange(p - 1, 0, -1)])
+    chi2 = np.array([rng.chisquare(dofs) / scenario.n for rng in rngs]).reshape(-1, 2 * p - 1)
+    alpha2, beta2 = chi2[:, :p], chi2[:, p:]
+    return _tridiagonal_top(alpha2 + np.pad(beta2, ((0, 0), (1, 0))),
+                            alpha2[:, :-1] * beta2, r)
+
+
+def _count_below(x, diag, off2, piv):
+    """#{eigenvalues < x[j]} of the tridiagonal T_j with diagonal diag[:, j] and
+    squared off-diagonal off2[:, j] > 0: its negative pivots (Sturm), written to
+    ``piv``.  A zero pivot +0 makes the next one -inf: the count just below x."""
+    np.subtract(diag, x, out=piv)
+    with np.errstate(divide="ignore"):
+        for e, prev, cur in zip(off2, piv, piv[1:]):
+            cur -= e / prev
+    return np.count_nonzero(piv < 0.0, axis=0)
+
+
+def _tridiagonal_top(diag, off2, r: int) -> np.ndarray:
+    """The r largest eigenvalues, descending, of each positive semidefinite
+    tridiagonal T_b (diagonal diag[b], squared off-diagonal off2[b]) by
+    Sturm-count bisection (Barth, Martin & Wilkinson 1967): eigenvalue k is
+    the largest double x with #{eigenvalues >= x} >= k, fixed by (T_b, k)
+    alone, read when [0, Gershgorin bound] has shrunk to adjacent doubles.
+    Column j holds target j % r + 1 of T_(j // r); a converged one stays put."""
+    b, p = diag.shape
+    off = np.pad(np.sqrt(off2), ((0, 0), (1, 1)))
+    bound = (diag + off[:, 1:] + off[:, :-1]).max(axis=1) * (1 + 2.1 * p * math.ulp(1))
+    lo, hi, below_max = np.zeros(b * r), np.repeat(bound, r), np.tile(p - 1 - np.arange(r), b)
+    cols = [np.repeat(a.T, r, axis=1) for a in (diag, off2)] + [np.empty((p, b * r))]
+    while True:
+        mid = 0.5 * (lo + hi)
+        moving = (mid > lo) & (mid < hi)
+        if not moving.any():
+            return lo.reshape(b, r)
+        up = _count_below(mid, *cols) <= below_max
+        lo, hi = np.where(moving & up, mid, lo), np.where(moving & ~up, mid, hi)
+
+
+def _map_draws(scenario: Scenario, k_star: int, reps: int, workers, *path: int,
+               cv: CriticalValues | None = None) -> tuple:
+    """(DS, RS) arrays of ``reps`` draws of ``scenario``, replication ``rep``
+    drawing from ``stream(*path, rep)``.  A white Gaussian null (Gaussian
+    law, identity covariance, no centres) draws its top 2K*-1 eigenvalues
+    (``null_top_eigs``) in chunks that fill ``CHUNK_BYTES`` (the bisection
+    holds the GIL), each on a pool thread: the calling thread's allocator
+    arena would keep their memory and raise the peak RSS.  Any other scenario
+    draws ``map_chunks``' chunks of data, tested by ``detect`` on ``cv``."""
+    s, r = scenario, 2 * k_star - 1
+    null = (s.law.kind == "gaussian" and s.centers is None and s.clusters < 2
+            and getattr(s.sigma, "recipe", None) == "identity")
+
+    def chunk(block):
+        rngs = [stream(*path, rep) for rep in block]
+        if null:
+            return ds_rs_stats(null_top_eigs(s, rngs, r), k_star)
+        data = draw_data(s, rngs)
+        if cv is None:
+            return ds_rs_from_data(data, k_star)
+        res = detect(data, k_star, cv)
+        return res.ds, res.rs
+
+    if null:   # three (p, pairs) arrays per chunk
+        chunks = rep_chunks(reps, 1, 3 * 8 * min(s.m, s.n) * r)
+        with ThreadPoolExecutor(_pool_size(workers, len(chunks))) as pool:
+            return tuple(map(np.concatenate, zip(*pool.map(chunk, chunks))))
+    nbytes = rep_bytes(s.m, s.n)
+    if isinstance(s.sigma, tuple):   # the Gaussian matrix, O' and F
+        nbytes += 3 * 8 * s.m ** 2
+    return map_chunks(chunk, reps, workers, nbytes)
 
 
 def _run_cells(grid, reps, cv, master_seed, workers, clusters=0,
                center_scale=1.0):
     rates_ds = np.empty(len(grid))
     rates_rs = np.empty(len(grid))
-
-    def rejections(data):
-        res = detect(data, cv.k_star, cv)
-        return res.reject_ds, res.reject_rs
-
     for c_idx, cell in enumerate(grid):
         if cell.sigma not in SIGMA_RECIPES:
             raise ConfigError(
@@ -322,10 +386,9 @@ def _run_cells(grid, reps, cv, master_seed, workers, clusters=0,
                  else make_covariance(cell.sigma, cell.m, rho=0.1))
         scenario = Scenario(cell.m, cell.n, make_noise_law(cell.law), sigma,
                             clusters, center_scale)
-        reject_ds, reject_rs = _map_draws(scenario, rejections, reps, workers,
-                                          master_seed, c_idx)
-        rates_ds[c_idx] = np.count_nonzero(reject_ds) / reps if reps else 0.0
-        rates_rs[c_idx] = np.count_nonzero(reject_rs) / reps if reps else 0.0
+        ds, rs = _map_draws(scenario, cv.k_star, reps, workers, master_seed, c_idx, cv=cv)
+        rates_ds[c_idx] = np.count_nonzero(ds >= cv.cv_ds) / reps if reps else 0.0
+        rates_rs[c_idx] = np.count_nonzero(rs >= cv.cv_rs) / reps if reps else 0.0
     return rates_ds, rates_rs
 
 
@@ -371,7 +434,6 @@ def figure2_samples(reps: int, master_seed: int, workers=None) -> list:
         for hi, hypothesis in enumerate(("null", "alt")):
             centers = np.column_stack([c1, -c1]) if hypothesis == "alt" else None
             scenario = Scenario(m_dim, n_dim, law, sigma, centers=centers)
-            ds, rs = _map_draws(scenario, lambda data: ds_rs_from_data(data, k_star),
-                                reps, workers, master_seed, mi, hi)
+            ds, rs = _map_draws(scenario, k_star, reps, workers, master_seed, mi, hi)
             samples.append((m_dim, hypothesis, ds, rs))
     return samples

@@ -15,6 +15,7 @@ as a signed rank-2K secular problem, with no SVD of the M x N sample.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -283,13 +284,23 @@ def sample_spikes(draw: NoiseDraw, signal: SignalModel, k: int) -> np.ndarray:
     Z+ = y R + L D and Z- = y R: a signed rank-2K update of y y' = U Lambda U',
     solved in U's coordinates by ``secular_values`` at O(MK) per count
     after one O(M^2 K) projection.  The count is exact below lambda_1(y y')
-    too, so a spike that fails to detach needs no other path.
+    too, so a spike that fails to detach needs no other path.  A root x is
+    then polished by the Rayleigh quotient of its secular eigenvector
+    (x - Lambda)^{-1} Z u, (A(x) - J) u ~ 0, which squares its error.
     """
     y_right = draw.y @ signal.right
-    coords = draw.gram_vecs.T @ np.hstack([y_right + signal.left * signal.svals,
-                                           y_right])
-    rank = signal.rank
-    return secular_values(draw.gram_eigs, coords[:, :rank], coords[:, rank:], k)
+    z = draw.gram_vecs.T @ np.hstack([y_right + signal.left * signal.svals, y_right])
+    lam, signs = draw.gram_eigs, np.repeat([1.0, -1.0], signal.rank)
+    vals = secular_values(lam, z[:, :signal.rank], z[:, signal.rank:], k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, x in enumerate(vals):
+            w = z / (x - lam)[:, None]
+            # one inverse-iteration step for u; a singular A(x) - J means x is exact
+            with contextlib.suppress(np.linalg.LinAlgError):
+                v = w @ np.linalg.solve(z.T @ w - np.diag(signs), np.ones(len(signs)))
+                rayleigh = (v @ (lam * v) + (z.T @ v) ** 2 @ signs) / (v @ v)
+                vals[j] = rayleigh if np.isfinite(rayleigh) else x
+    return vals
 
 
 def master_matrix_suite(draw: NoiseDraw, signal: SignalModel,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError, NumericalError
 from .spectra import CovarianceModel, esd
-from .stieltjes import EdgeData, find_w_plus, theta_map
+from .stieltjes import EdgeData, find_w_plus, theta_terms
 
 MAX_RANK = 64
 # the largest spike whose Gaussian variance (about 2 sigma_tilde^2) is finite
@@ -345,7 +345,7 @@ def asymptotic_quantities(sigma: CovarianceModel, signal: SignalModel,
     kappa3, kappa4 = law.kappa3, law.kappa4
 
     theta = np.empty(k0)
-    theta_prime = np.empty(k0)
+    deficit = np.empty(k0)                    # 1 - theta', summed directly
     pi_tilde = np.empty((k0, sigma.dim))
     a_vecs = np.empty((k0, sigma.dim))        # Sigma^{1/2} psi_k
     b_vecs = np.empty((k0, signal.shape[1]))  # S^T psi_k
@@ -357,8 +357,8 @@ def asymptotic_quantities(sigma: CovarianceModel, signal: SignalModel,
     for k in range(k0):
         st = float(pop.sigma_tilde[k])
         psi_k = pop.psi[:, k]
-        # theta_map rejects st within 1e-10 relative of an eigenvalue of Sigma
-        theta[k], theta_prime[k] = theta_map(st, pop.edge)
+        # theta_terms rejects st within 1e-10 relative of an eigenvalue of Sigma
+        theta[k], deficit[k] = theta_terms(st, pop.edge)
         pi_tilde[k] = sigma.diagonal(lambda s: s / (st - s))   # Sigma (st - Sigma)^{-1}
         a_vecs[k] = sigma.sqrt_matmat(psi_k)
         b_vecs[k] = signal.apply_t(psi_k)
@@ -371,6 +371,7 @@ def asymptotic_quantities(sigma: CovarianceModel, signal: SignalModel,
             d * proj,
         ])
 
+    theta_prime = 1.0 - deficit
     bias = np.array([
         2.0 * kappa3 * theta_prime[k] / N
         * math.fsum(pi_tilde[k] * a_vecs[k]) * math.fsum(b_vecs[k])
@@ -386,8 +387,7 @@ def asymptotic_quantities(sigma: CovarianceModel, signal: SignalModel,
             overlap = math.fsum(sig_psi[k] * pop.psi[:, j])  # psi_k' Sigma psi_j
             if k == j:
                 st, tp = float(pop.sigma_tilde[k]), theta_prime[k]
-                v_base[k, k] = (2.0 * tp**2 * overlap**2
-                                + 2.0 * st**2 * tp - 2.0 * st**2 * tp**2)
+                v_base[k, k] = 2.0 * tp**2 * overlap**2 + 2.0 * st**2 * tp * deficit[k]
             else:
                 v_base[k, j] = v_base[j, k] = (
                     2.0 * theta_prime[k] * theta_prime[j] * overlap**2

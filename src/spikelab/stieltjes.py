@@ -147,13 +147,20 @@ def solve_m(z: float, edge: EdgeData) -> float:
 
 
 def theta_map(sigma_tilde: float, edge: EdgeData):
-    """Almost-sure spike location theta(sigma_tilde) and its derivative.
+    """theta(sigma_tilde) and its derivative theta' (see ``theta_terms``)."""
+    theta, deficit = theta_terms(sigma_tilde, edge)
+    return theta, 1.0 - deficit
 
-        theta  = sigma_tilde + phi * sum_i p_i sigma_tilde s_i / (sigma_tilde - s_i)
-        theta' = 1 - phi * sum_i p_i s_i^2 / (sigma_tilde - s_i)^2
 
-    Valid for strictly supercritical sigma_tilde > -1/w_plus; equals
-    f(-1/sigma_tilde) by the inverse relation, which ties theta to the edge.
+def theta_terms(sigma_tilde: float, edge: EdgeData):
+    """The almost-sure spike location theta(sigma_tilde) and 1 - theta',
+    summed directly so that a strong spike keeps its digits:
+
+        theta      = sigma_tilde + phi * sum_i p_i sigma_tilde s_i / (sigma_tilde - s_i)
+        1 - theta' = phi * sum_i p_i s_i^2 / (sigma_tilde - s_i)^2
+
+    Valid for strictly supercritical sigma_tilde > -1/w_plus; theta equals
+    f(-1/sigma_tilde) by the inverse relation, which ties it to the edge.
     """
     threshold = edge.threshold
     if sigma_tilde <= threshold:
@@ -167,9 +174,8 @@ def theta_map(sigma_tilde: float, edge: EdgeData):
             f"sigma_tilde={sigma_tilde!r} is within 1e-10 relative of the "
             f"population eigenvalue {s[near][0]!r}"
         )
-    theta = sigma_tilde + phi * float(p @ (sigma_tilde * s / gap))
-    theta_prime = 1.0 - phi * float(p @ (s / gap) ** 2)
-    return theta, theta_prime
+    return (sigma_tilde + phi * float(p @ (sigma_tilde * s / gap)),
+            phi * float(p @ (s / gap) ** 2))
 
 
 @dataclass(frozen=True)

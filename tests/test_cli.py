@@ -138,6 +138,7 @@ class TestCalibrateAndTest:
             assert code == 0
             payload = json.loads((out / "critical_values.json").read_text())
             runs[threads] = payload["critical_values"]
+            assert payload["meta"]["stream_version"] == 2
         cvs = runs["1"]
         assert cvs["cv_ds"] > 0 and cvs["cv_rs"] > cvs["cv_ds"]
         assert runs["2"] == cvs  # the worker count never moves the values

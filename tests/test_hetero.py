@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikelab import ensemble
+from spikelab import ensemble, hetero
 from spikelab.errors import ConfigError, DegenerateSpectrumError, DomainError
 from spikelab.ensemble import equal_split_labels, make_noise_law, rep_bytes, stream
 from spikelab.hetero import (
@@ -21,6 +21,7 @@ from spikelab.hetero import (
     ds_rs_stats,
     figure2_samples,
     nearest_rank_quantile,
+    null_top_eigs,
     run_power_experiment,
     run_size_experiment,
 )
@@ -107,13 +108,10 @@ class TestCalibration:
             runs += [calibrate(3, 30, 150, master_seed=9, workers=w) for w in (1, 2)]
         assert len({(cv.cv_ds, cv.cv_rs) for cv in runs}) == 1
 
-    def test_factors_whole_chunks(self, linalg_calls):
+    def test_makes_no_linalg_call(self, linalg_calls):
+        # the null's eigenvalues come from Sturm counts on its bidiagonal model
         calibrate(4, 100, 300, workers=1)
-        shapes = linalg_calls["eigvalsh"]
-        assert sum(shape[0] for shape in shapes) == 300
-        assert all(len(shape) == 3 and shape[0] > 1 and shape[1:] == (100, 100)
-                   for shape in shapes)
-        assert linalg_calls["qr"] == linalg_calls["eigh"] == linalg_calls["svd"] == []
+        assert all(calls == [] for calls in linalg_calls.values())
 
     def test_reps_floor(self):
         with pytest.raises(ConfigError):
@@ -131,6 +129,76 @@ class TestCalibration:
         other = calibrate(4, 100, 30000, master_seed=987654, workers=os.cpu_count())
         assert abs(other.cv_ds - cv_full.cv_ds) / cv_full.cv_ds < 0.02
         assert abs(other.cv_rs - cv_full.cv_rs) / cv_full.cv_rs < 0.05
+
+
+def _white(m, n):
+    return Scenario(m, n, make_noise_law("gaussian"), make_covariance("identity", m))
+
+
+def _bidiagonal(m, n, rng):
+    """The p x p lower-bidiagonal B of the Wishart model, drawn as the null
+    sampler draws it: the diagonal's chi^2 values, then the subdiagonal's."""
+    p, q = sorted((m, n))
+    alpha2 = rng.chisquare(np.arange(q, q - p, -1))
+    beta2 = rng.chisquare(np.arange(p - 1, 0, -1))
+    return np.diag(np.sqrt(alpha2)) + np.diag(np.sqrt(beta2), -1)
+
+
+SHAPES_WTS = [(3, 6), (6, 3), (5, 5)]   # wide, tall, square
+
+
+class TestNullSampler:
+    @pytest.mark.parametrize("m, n", [(100, 100), (40, 90), (90, 40), (7, 7)])
+    def test_matches_dense_bidiagonal(self, m, n):
+        r = min(7, m, n)
+        got = null_top_eigs(_white(m, n), [stream(50, rep) for rep in range(6)], r)
+        for rep in range(6):
+            b = _bidiagonal(m, n, stream(50, rep))
+            want = np.linalg.eigvalsh(b @ b.T / n)[::-1][:r]
+            np.testing.assert_allclose(got[rep], want, rtol=0, atol=1e-13 * want[0])
+
+    @pytest.mark.parametrize("m, n", SHAPES_WTS + [(20, 40)])
+    def test_law_matches_the_data_path(self, m, n):
+        # two-sample KS of each top eigenvalue against top_eigs of drawn data
+        scipy_stats = pytest.importorskip("scipy.stats")
+        reps, r = 10000, 3
+        null = null_top_eigs(_white(m, n), [stream(51, m, n, rep) for rep in range(reps)], r)
+        data = draw_data(_white(m, n), [stream(52, m, n, rep) for rep in range(reps)])
+        dense = ensemble.top_eigs(data / math.sqrt(n), r)
+        for k in range(r):
+            assert scipy_stats.ks_2samp(null[:, k], dense[:, k]).pvalue >= 1e-3
+
+    def test_replication_does_not_depend_on_its_chunk(self):
+        rngs = [stream(53, rep) for rep in range(9)]
+        chunk = null_top_eigs(_white(30, 50), rngs, 5)
+        for rep in range(9):
+            alone = null_top_eigs(_white(30, 50), [stream(53, rep)], 5)
+            assert np.array_equal(chunk[rep], alone[0])
+        assert null_top_eigs(_white(30, 50), [], 5).shape == (0, 5)
+
+    @pytest.mark.parametrize("diag, off2, x, below", [
+        # eigenvalues 2 -+ sqrt(2); pivots 0, -inf
+        ([1.0, 3.0], [1.0], 1.0, 1),
+        # eigenvalues 2 - sqrt(2), 2, 2 + sqrt(2); pivots 0, -inf, 0
+        ([2.0, 2.0, 2.0], [1.0, 1.0], 2.0, 1),
+        ([2.0, 2.0, 2.0], [1.0, 1.0], 2.0 - 2**-40, 1),
+        ([2.0, 2.0, 2.0], [1.0, 1.0], 2.0 + 2**-40, 2),
+        # about 0, 2 and 3 -+ sqrt(6); pivots 0, -inf, 4, -0.5
+        ([1.0, 1.0, 5.0, 1.0], [1.0, 1e-300, 2.0], 1.0, 2),
+    ])
+    def test_zero_pivot_counts(self, diag, off2, x, below):
+        counted = hetero._count_below(np.array([x]), np.array(diag)[:, None],
+                                      np.array(off2)[:, None], np.empty((len(diag), 1)))
+        assert counted.tolist() == [below]
+
+    def test_identity_gaussian_cell_does_not_depend_on_chunks(self, monkeypatch):
+        # a table 1 identity/Gaussian size cell's DS and RS per replication
+        cells = []
+        for budget in (1, 2**30):
+            monkeypatch.setattr(ensemble, "CHUNK_BYTES", budget)
+            cells += [hetero._map_draws(_white(12, 24), 4, 9, workers, 19, 0)
+                      for workers in (1, 2)]
+        assert all(np.array_equal(a, b) for cell in cells[1:] for a, b in zip(cells[0], cell))
 
 
 class TestDetect:
@@ -279,6 +347,16 @@ class TestExperiments:
         rates = {(tuple(r.rates_ds), tuple(r.rates_rs)) for r in reports}
         assert len(rates) == 1
         assert 0.0 < np.mean(reports[0].rates_ds) < 1.0
+
+    def test_toeplitz_cells_factor_whole_chunks(self, cv, linalg_calls):
+        # a data-path size cell makes one stacked eigvalsh per chunk
+        grid = [ScenarioCell("toeplitz", "gaussian", 100, 100)]
+        run_size_experiment(grid, 300, cv, master_seed=20, workers=1)
+        shapes = linalg_calls["eigvalsh"]
+        assert sum(shape[0] for shape in shapes) == 300
+        assert all(len(shape) == 3 and shape[0] > 1 and shape[1:] == (100, 100)
+                   for shape in shapes)
+        assert linalg_calls["qr"] == linalg_calls["eigh"] == linalg_calls["svd"] == []
 
     def test_haar_cells_factor_whole_chunks(self, cv, linalg_calls):
         grid = [ScenarioCell("haar", "gaussian", 40, 20)]

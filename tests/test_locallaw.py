@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from spikelab.errors import DomainError, NumericalError
@@ -285,24 +285,34 @@ def spike_draw(m_dim, n_dim, strengths, axis, seed, recipe="identity"):
     return factor_noise(x, sigma), signal
 
 
+@st.composite
+def spike_cases(draw):
+    """(M, N, descending strengths, axis-aligned left factor, seed)."""
+    rank, wide = draw(st.integers(1, 3)), draw(st.booleans())
+    short = draw(st.integers(rank + 1, 25), label="short side")
+    long = draw(st.integers(short + 1, short + 30), label="long side")
+    strengths = draw(st.lists(st.floats(0.1, 3.0), min_size=rank, max_size=rank),
+                     label="strengths")
+    return ((short, long) if wide else (long, short)) + (
+        sorted(strengths, reverse=True), draw(st.booleans()),
+        draw(st.integers(0, 2**32 - 1), label="seed"))
+
+
 class TestSampleSpikes:
     @pytest.mark.parametrize("recipe", ["identity", "toeplitz"])
-    @given(rank=st.integers(1, 3), wide=st.booleans(), axis=st.booleans(),
-           data=st.data())
+    @given(case=spike_cases())
+    # two equal spikes read 3.1e-5 below lambda_1(y y') on identity Sigma,
+    # where the bisected count alone misses the top value by 1.9e-12 lambda_1
+    @example(case=(18, 42, [0.7378633384218086] * 2, True, 0))
     @settings(max_examples=40, deadline=None)
-    def test_matches_dense_gram(self, recipe, rank, wide, axis, data):
+    def test_matches_dense_gram(self, recipe, case):
         # top K+1 eigenvalues of (S + y)(S + y)', from well detached down to
         # strengths whose outliers stay under lambda_1(y y')
-        short = data.draw(st.integers(rank + 1, 25), label="short side")
-        long = data.draw(st.integers(short + 1, short + 30), label="long side")
-        m_dim, n_dim = (short, long) if wide else (long, short)
-        strengths = data.draw(st.lists(st.floats(0.1, 3.0), min_size=rank,
-                                       max_size=rank), label="strengths")
-        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        draw, signal = spike_draw(m_dim, n_dim, sorted(strengths, reverse=True),
-                                  axis, seed, recipe)
+        m_dim, n_dim, strengths, axis, seed = case
+        draw, signal = spike_draw(m_dim, n_dim, strengths, axis, seed, recipe)
         sample = signal.dense() + draw.y
         want = np.linalg.eigvalsh(sample @ sample.T)[::-1]
+        rank = len(strengths)
         for k in range(1, rank + 2):
             np.testing.assert_allclose(sample_spikes(draw, signal, k), want[:k],
                                        rtol=0, atol=1e-12 * want[0])

@@ -254,6 +254,48 @@ class TestAsymptoticQuantities:
             theory = asymptotic_quantities(sigma, signal, pop, GAUSS, 40)
             assert np.isfinite(theory.theta).all() and np.isfinite(theory.gauss_cov).all()
 
+    @pytest.mark.parametrize("strength_sq", [1e2, 1e4, 1e6, 1e8, 1e12])
+    def test_gaussian_variance_of_strong_spikes(self, strength_sq):
+        # identity Sigma, localized spike d^2: sigma_tilde = 1 + d^2,
+        # theta' = 1 - phi/d^4 and V = 2 theta' (1 + phi + 2 phi/d^2); the
+        # 2 st^2 theta' (1 - theta') term must not cancel to zero
+        m_dim, n_dim = 20, 40
+        phi = m_dim / n_dim
+        sigma = make_covariance("identity", m_dim)
+        signal = SignalModel.localized(math.sqrt(strength_sq), m_dim, n_dim)
+        theory = asymptotic_quantities(sigma, signal, deform(sigma, signal, 0.01),
+                                       GAUSS, n_dim)
+        closed = 2 * theory.theta_prime[0] * (1 + phi + 2 * phi / strength_sq)
+        assert theory.gauss_cov_base[0, 0] == pytest.approx(closed, rel=1e-9, abs=0)
+
+
+class TestClassifyBoundary:
+    def test_marginal_band_edge(self):
+        # a spike exactly at threshold + 2 tau counts in K0, one ulp below
+        # it sits in the marginal band
+        threshold, tau = 1.7071067811865475, 0.01
+        edge = threshold + 2 * tau
+        assert _classify(np.array([edge, 0.5]), 1, threshold, tau)[0] == 1
+        k0, notes = _classify(np.array([np.nextafter(edge, 0.0), 0.5]), 1, threshold, tau)
+        assert k0 == 0 and any("marginal band" in note for note in notes)
+
+
+class TestSecularValuesGuard:
+    @pytest.mark.parametrize("top, raises", [
+        (np.nextafter(np.finfo(float).max / 4, 0.0), False),
+        (np.finfo(float).max / 4, True),
+    ], ids=["below", "at"])
+    def test_overflow_guard(self, top, raises):
+        # the eigenvalue scale must stay below float max / 4 so that the
+        # bisection's lo + hi is finite
+        lam = np.array([top, 1.0])
+        z_plus, z_minus = np.array([[0.0], [1.0]]), np.zeros((2, 0))
+        if raises:
+            with pytest.raises(NumericalError, match="too large to bisect"):
+                spikes.secular_values(lam, z_plus, z_minus, 1)
+        else:
+            assert spikes.secular_values(lam, z_plus, z_minus, 1).tolist() == [top]
+
 
 class TestReductionCheck:
     @pytest.mark.parametrize("law_kind", ["gaussian", "uniform-sym",

@@ -1,5 +1,6 @@
 import contextlib
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikelab import stieltjes
-from spikelab.errors import DomainError, SubcriticalError
+from spikelab.errors import DomainError, NumericalError, SubcriticalError
 from spikelab.locallaw import divided_difference, solve_pi
 from spikelab.spectra import esd, make_covariance
 from spikelab.stieltjes import f_eval, find_w_plus, solve_m, theta_map
@@ -270,6 +271,18 @@ class TestThetaMap:
         with pytest.raises(SubcriticalError) as err:
             theta_map(edge.threshold - 0.01, edge)
         assert err.value.threshold == pytest.approx(edge.threshold)
+
+    @pytest.mark.parametrize("gap", [0.999e-10, 1.001e-10], ids=["inside", "outside"])
+    def test_pole_guard_boundary(self, gap):
+        # a bulk whose threshold sits 0.5e-10 above its top atom 1 admits a
+        # supercritical sigma_tilde that close to the atom: within 1e-10
+        # relative theta is refused, just outside it is computed
+        edge = replace(find_w_plus(ISO, 0.5), w_plus=-1.0 / (1.0 + 0.5e-10))
+        if gap < 1e-10:
+            with pytest.raises(NumericalError, match="within 1e-10 relative"):
+                theta_map(1.0 + gap, edge)
+        else:
+            assert np.isfinite(theta_map(1.0 + gap, edge)).all()
 
     def test_large_spike_asymptotics(self):
         theta, theta_prime = theta_map(1e8, find_w_plus(ISO, 0.5))
