@@ -1,14 +1,14 @@
 """Noise laws, reproducible Monte-Carlo ensembles, and fluctuation samples.
 
 Replications draw from counter-based Philox streams keyed by
-(master_seed, replication index), so results are bit-identical under any
-parallel schedule.  The replication loops map over chunks of consecutive
-replications (``rep_chunks``): a chunk draws each of its replications from
-that replication's own stream into one stacked array, then makes one stacked
-factorization (``top_eigs`` on a stack).  BLAS and LAPACK treat every matrix
+(master_seed, ..., replication index), so results are bit-identical under
+any parallel schedule.  Every replication loop runs through ``map_chunks``:
+it splits the replications into consecutive chunks that fill
+``CHUNK_BYTES`` (``rep_chunks``), hands each chunk the streams of its
+replications, and concatenates the chunks' results in replication order.  A
+chunk draws its replications into one stacked array and makes one stacked
+factorization (``top_eigs`` on a stack); BLAS and LAPACK treat every matrix
 of a stack on its own, so a record does not depend on the chunk it fell in.
-Aggregation is an ordered reduce over the chunks, concatenated in
-replication order (``map_chunks``).
 """
 
 from __future__ import annotations
@@ -69,13 +69,17 @@ def _pool_size(workers, n_items: int) -> int:
 
 
 def parallel_map(fn, items, workers=None):
-    """Order-preserving map on min(workers, items, usable CPUs) threads (BLAS
-    and LAPACK release the GIL); serial when that is one."""
+    """Order-preserving map on min(workers, items, usable CPUs) threads, at
+    least one (BLAS and LAPACK release the GIL).
+
+    Even a single item runs on a pool thread: glibc's main arena, which the
+    calling thread allocates from, keeps more of the memory a chunk of
+    replications frees.  The detection benchmark's white Gaussian nulls
+    peaked at 59.3 MiB RSS on a pool thread against 63.9-68.3 MiB on the
+    calling thread (2-vCPU Linux VM).
+    """
     items = list(items)
-    threads = _pool_size(workers, len(items))
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(_pool_size(workers, len(items))) as pool:
         return list(pool.map(fn, items))
 
 
@@ -85,24 +89,26 @@ def rep_bytes(m: int, n: int) -> int:
     return 8 * (2 * m * n + min(m, n) ** 2)
 
 
-def rep_chunks(reps: int, workers, nbytes: int) -> list[range]:
-    """Consecutive replication ranges, ceil(reps / threads) long for the
-    threads ``parallel_map`` runs, but short enough that a chunk's stacks hold
-    at most ``CHUNK_BYTES`` (``nbytes`` per replication; one replication at
-    least).  No replications give one empty chunk."""
-    size = max(min(math.ceil(reps / _pool_size(workers, reps)),
-                   CHUNK_BYTES // nbytes), 1)
+def rep_chunks(reps: int, nbytes: int) -> list[range]:
+    """Consecutive replication ranges whose stacks fill ``CHUNK_BYTES``
+    (``nbytes`` per replication; one replication at least).  No replications
+    give one empty chunk."""
+    size = max(CHUNK_BYTES // nbytes, 1)
     return [range(i, min(i + size, reps)) for i in range(0, max(reps, 1), size)]
 
 
-def map_chunks(fn, reps: int, workers, nbytes: int) -> tuple:
-    """Ordered reduce of ``fn`` over ``rep_chunks``.
+def map_chunks(fn, reps: int, workers, nbytes: int, *path: int) -> tuple:
+    """Ordered reduce of ``fn`` over ``rep_chunks``, on ``parallel_map``.
 
-    ``fn(chunk)`` returns a tuple of arrays whose leading axis runs over the
-    chunk's replications; each is concatenated over the chunks in
-    replication order.
+    ``fn(rngs)`` gets a chunk's generators, ``stream(*path, rep)`` for each
+    of its replications, and returns a tuple of arrays whose leading axis
+    runs over them; each is concatenated over the chunks in replication
+    order.
     """
-    parts = parallel_map(fn, rep_chunks(reps, workers, nbytes), workers)
+    def run(chunk):
+        return fn([stream(*path, rep) for rep in chunk])
+
+    parts = parallel_map(run, rep_chunks(reps, nbytes), workers)
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
@@ -339,10 +345,10 @@ def run_spike_mc(config: SpikeMCConfig) -> SpikeSamples:
 
     coupled = bool(config.couple_theta and k0)
 
-    def chunk(reps):
-        x = np.empty((len(reps), m_dim, n_dim))
-        for i, rep in enumerate(reps):
-            x[i] = law.sample(stream(config.master_seed, rep), (m_dim, n_dim))
+    def chunk(rngs):
+        x = np.empty((len(rngs), m_dim, n_dim))
+        for i, rng in enumerate(rngs):
+            x[i] = law.sample(rng, (m_dim, n_dim))
         x /= sqrt_n
         y = root.sqrt_coordinates(x)
         y += shift
@@ -355,7 +361,7 @@ def run_spike_mc(config: SpikeMCConfig) -> SpikeSamples:
         return lam, fluct, th
 
     lambdas, fluct, *thetas = map_chunks(chunk, config.reps, config.workers,
-                                         rep_bytes(m_dim, n_dim))
+                                         rep_bytes(m_dim, n_dim), config.master_seed)
     return SpikeSamples(
         lambdas=lambdas, fluctuations=fluct,
         theta_samples=thetas[0] if coupled else None,

@@ -21,7 +21,6 @@ for RS.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +29,10 @@ from .errors import ConfigError, DegenerateSpectrumError, DomainError
 from .spectra import CovarianceModel, haar_orthogonal, make_covariance
 from .ensemble import (
     NoiseLaw,
-    _pool_size,
     equal_split_labels,
     make_noise_law,
     map_chunks,
     rep_bytes,
-    rep_chunks,
-    stream,
     top_eigs,
 )
 
@@ -343,19 +339,22 @@ def _tridiagonal_top(diag, off2, r: int) -> np.ndarray:
 
 def _map_draws(scenario: Scenario, k_star: int, reps: int, workers, *path: int,
                cv: CriticalValues | None = None) -> tuple:
-    """(DS, RS) arrays of ``reps`` draws of ``scenario``, replication ``rep``
-    drawing from ``stream(*path, rep)``.  A white Gaussian null (Gaussian
-    law, identity covariance, no centres) draws its top 2K*-1 eigenvalues
-    (``null_top_eigs``) in chunks that fill ``CHUNK_BYTES`` (the bisection
-    holds the GIL), each on a pool thread: the calling thread's allocator
-    arena would keep their memory and raise the peak RSS.  Any other scenario
-    draws ``map_chunks``' chunks of data, tested by ``detect`` on ``cv``."""
+    """(DS, RS) arrays of ``reps`` draws of ``scenario`` by ``map_chunks``,
+    replication ``rep`` drawing from ``stream(*path, rep)``.  A white Gaussian
+    null (Gaussian law, identity covariance, no centres) draws its top 2K*-1
+    eigenvalues (``null_top_eigs``); any other scenario draws data
+    (``draw_data``), tested by ``detect`` on ``cv``."""
     s, r = scenario, 2 * k_star - 1
     null = (s.law.kind == "gaussian" and s.centers is None and s.clusters < 2
             and getattr(s.sigma, "recipe", None) == "identity")
+    if null:   # three (p, pairs) arrays
+        nbytes = 3 * 8 * min(s.m, s.n) * r
+    else:
+        nbytes = rep_bytes(s.m, s.n)
+        if isinstance(s.sigma, tuple):   # the Gaussian matrix, O' and F
+            nbytes += 3 * 8 * s.m ** 2
 
-    def chunk(block):
-        rngs = [stream(*path, rep) for rep in block]
+    def chunk(rngs):
         if null:
             return ds_rs_stats(null_top_eigs(s, rngs, r), k_star)
         data = draw_data(s, rngs)
@@ -364,14 +363,7 @@ def _map_draws(scenario: Scenario, k_star: int, reps: int, workers, *path: int,
         res = detect(data, k_star, cv)
         return res.ds, res.rs
 
-    if null:   # three (p, pairs) arrays per chunk
-        chunks = rep_chunks(reps, 1, 3 * 8 * min(s.m, s.n) * r)
-        with ThreadPoolExecutor(_pool_size(workers, len(chunks))) as pool:
-            return tuple(map(np.concatenate, zip(*pool.map(chunk, chunks))))
-    nbytes = rep_bytes(s.m, s.n)
-    if isinstance(s.sigma, tuple):   # the Gaussian matrix, O' and F
-        nbytes += 3 * 8 * s.m ** 2
-    return map_chunks(chunk, reps, workers, nbytes)
+    return map_chunks(chunk, reps, workers, nbytes, *path)
 
 
 def _run_cells(grid, reps, cv, master_seed, workers, clusters=0,

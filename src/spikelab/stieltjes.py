@@ -146,12 +146,6 @@ def solve_m(z: float, edge: EdgeData) -> float:
     return m
 
 
-def theta_map(sigma_tilde: float, edge: EdgeData):
-    """theta(sigma_tilde) and its derivative theta' (see ``theta_terms``)."""
-    theta, deficit = theta_terms(sigma_tilde, edge)
-    return theta, 1.0 - deficit
-
-
 def theta_terms(sigma_tilde: float, edge: EdgeData):
     """The almost-sure spike location theta(sigma_tilde) and 1 - theta',
     summed directly so that a strong spike keeps its digits:

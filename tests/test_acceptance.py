@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from spikelab.spectra import make_covariance
-from spikelab.stieltjes import find_w_plus, theta_map
+from spikelab.stieltjes import find_w_plus, theta_terms
 from spikelab.spectra import esd
 from spikelab.spikes import SignalModel, asymptotic_quantities, deform, \
     sigma_i_reduction_check
@@ -64,7 +64,8 @@ def test_criterion_02_theta_map_reduction():
     edge = find_w_plus(nu, phi)
     worst = 0.0
     for d2 in (2.0, 5.25, 10.0):
-        theta, theta_prime = theta_map(1.0 + d2, edge)
+        theta, deficit = theta_terms(1.0 + d2, edge)
+        theta_prime = 1.0 - deficit
         worst = max(worst,
                     abs(theta - (1 + d2 + phi * (1 + 1 / d2))),
                     abs(theta_prime - (1 - phi / d2**2)))

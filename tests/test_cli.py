@@ -1,4 +1,5 @@
 import argparse
+import ast
 import copy
 import functools
 import itertools
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -167,7 +169,7 @@ class TestCalibrateAndTest:
 
     def test_nstar_below_2kstar_minus_1_is_config_error(self, tmp_path, capsys,
                                                         monkeypatch):
-        monkeypatch.setattr("spikelab.hetero.stream", None)  # no draw may run
+        monkeypatch.setattr("spikelab.ensemble.stream", None)  # no draw may run
         out = tmp_path / "out"
         assert main(["calibrate", "--kstar", "6", "--nstar", "10", "--reps", "100",
                      "--out", str(out)]) == 1
@@ -361,6 +363,16 @@ def test_import_loads_no_higher_layer(module, absent):
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()
     assert not any(m.startswith(absent) for m in loaded), loaded
+
+
+def test_no_private_cross_module_import():
+    # a name with a leading underscore belongs to its own module
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private = [a.name for a in node.names
+                           if a.name.startswith("_") and not a.name.endswith("__")]
+                assert not private, f"{path.name} imports {private} from .{node.module}"
 
 
 @pytest.mark.parametrize("command, cfg", [

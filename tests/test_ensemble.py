@@ -1,4 +1,5 @@
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from spikelab.ensemble import (
     empirical_cf_check,
     equal_split_labels,
     make_noise_law,
+    map_chunks,
     mixture_signal,
     parallel_map,
     rep_bytes,
@@ -155,19 +157,30 @@ class TestChunks:
         assert parallel_map(lambda x: x, range(2), workers=100000) == [0, 1]
         assert started == [3, 2]
 
-    def test_chunks_follow_the_capped_pool(self, monkeypatch):
-        monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 3)
-        chunks = rep_chunks(64, 100000, rep_bytes(10, 10))
-        assert [len(c) for c in chunks] == [22, 22, 20]
-        assert [i for c in chunks for i in c] == list(range(64))
-
     def test_chunks_respect_the_byte_budget(self, monkeypatch):
         monkeypatch.setattr(ensemble, "CHUNK_BYTES", 5 * rep_bytes(20, 30))
-        chunks = rep_chunks(23, 1, rep_bytes(20, 30))
+        chunks = rep_chunks(23, rep_bytes(20, 30))
         assert [len(c) for c in chunks] == [5, 5, 5, 5, 3]
-        assert rep_chunks(3, 1, 10 * ensemble.CHUNK_BYTES) == [range(0, 1), range(1, 2),
-                                                                range(2, 3)]
-        assert rep_chunks(0, 2, 8) == [range(0, 0)]
+        assert rep_chunks(3, 10 * ensemble.CHUNK_BYTES) == [range(0, 1), range(1, 2),
+                                                             range(2, 3)]
+        assert rep_chunks(0, 8) == [range(0, 0)]
+
+    def test_single_item_runs_on_a_pool_thread(self):
+        caller = threading.get_ident()
+        assert parallel_map(lambda _: threading.get_ident(), [0])[0] != caller
+        assert parallel_map(lambda _: threading.get_ident(), [0], workers=1)[0] != caller
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 2**30])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_replication_gets_its_stream(self, monkeypatch, chunk_bytes, workers):
+        monkeypatch.setattr(ensemble, "CHUNK_BYTES", chunk_bytes)
+
+        def draw(rngs):
+            return (np.array([rng.random(3) for rng in rngs]),)
+
+        (got,) = map_chunks(draw, 7, workers, 8, 11, 4)
+        want = np.array([stream(11, 4, rep).random(3) for rep in range(7)])
+        assert np.array_equal(got, want)
 
 
 class TestTopEigs:

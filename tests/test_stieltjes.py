@@ -12,7 +12,7 @@ from spikelab import stieltjes
 from spikelab.errors import DomainError, NumericalError, SubcriticalError
 from spikelab.locallaw import divided_difference, solve_pi
 from spikelab.spectra import esd, make_covariance
-from spikelab.stieltjes import f_eval, find_w_plus, solve_m, theta_map
+from spikelab.stieltjes import f_eval, find_w_plus, solve_m, theta_terms
 
 IDENTITY = make_covariance("identity", 10)
 BULKS = {
@@ -226,7 +226,8 @@ class TestDividedDifference:
         # at a spike location theta, m'(theta) = 1 / (sigma~^2 theta')
         sigma_tilde = 6.25
         edge = find_w_plus(ISO, 0.5)
-        theta, theta_prime = theta_map(sigma_tilde, edge)
+        theta, deficit = theta_terms(sigma_tilde, edge)
+        theta_prime = 1.0 - deficit
         mprime = m_divided_difference(theta, theta, edge)
         assert mprime == pytest.approx(1.0 / (sigma_tilde**2 * theta_prime),
                                        rel=1e-10)
@@ -235,41 +236,42 @@ class TestDividedDifference:
 class TestThetaMap:
     def test_isotropic_closed_form(self):
         d2, phi = 5.25, 0.5
-        theta, theta_prime = theta_map(1.0 + d2, find_w_plus(ISO, phi))
+        theta, deficit = theta_terms(1.0 + d2, find_w_plus(ISO, phi))
+        theta_prime = 1.0 - deficit
         assert theta == pytest.approx(1 + d2 + phi * (1 + 1 / d2), abs=1e-12)
         assert theta_prime == pytest.approx(1 - phi / d2**2, abs=1e-12)
 
     def test_strictly_increasing(self):
         edge = find_w_plus(TWO_ATOM, 0.5)
         grid = np.linspace(edge.threshold + 0.2, edge.threshold + 8, 30)
-        thetas = [theta_map(s, edge)[0] for s in grid]
+        thetas = [theta_terms(s, edge)[0] for s in grid]
         assert np.all(np.diff(thetas) > 0)
 
     def test_derivative_matches_finite_difference(self):
         edge = find_w_plus(TWO_ATOM, 0.5)
         s = edge.threshold + 1.7
         step = 1e-5
-        _, theta_prime = theta_map(s, edge)
-        fd = (theta_map(s + step, edge)[0]
-              - theta_map(s - step, edge)[0]) / (2 * step)
+        theta_prime = 1.0 - theta_terms(s, edge)[1]
+        fd = (theta_terms(s + step, edge)[0]
+              - theta_terms(s - step, edge)[0]) / (2 * step)
         assert theta_prime == pytest.approx(fd, rel=1e-6)
 
     def test_composition_with_f(self):
         # two independent code paths: theta(s) and f(-1/s)
         edge = find_w_plus(TWO_ATOM, 0.5)
         for s in (edge.threshold + 0.5, edge.threshold + 2.0, edge.threshold + 5.0):
-            theta, _ = theta_map(s, edge)
+            theta, _ = theta_terms(s, edge)
             assert abs(theta - f_eval(-1.0 / s, TWO_ATOM, 0.5)[0]) <= 1e-12 * theta
 
     def test_approaches_edge_at_threshold(self):
         edge = find_w_plus(ISO, 0.5)
-        theta, _ = theta_map(edge.threshold + 1e-5, edge)
+        theta, _ = theta_terms(edge.threshold + 1e-5, edge)
         assert theta == pytest.approx(edge.lambda_plus, abs=1e-3)
 
     def test_subcritical_error_carries_threshold(self):
         edge = find_w_plus(ISO, 0.5)
         with pytest.raises(SubcriticalError) as err:
-            theta_map(edge.threshold - 0.01, edge)
+            theta_terms(edge.threshold - 0.01, edge)
         assert err.value.threshold == pytest.approx(edge.threshold)
 
     @pytest.mark.parametrize("gap", [0.999e-10, 1.001e-10], ids=["inside", "outside"])
@@ -280,11 +282,12 @@ class TestThetaMap:
         edge = replace(find_w_plus(ISO, 0.5), w_plus=-1.0 / (1.0 + 0.5e-10))
         if gap < 1e-10:
             with pytest.raises(NumericalError, match="within 1e-10 relative"):
-                theta_map(1.0 + gap, edge)
+                theta_terms(1.0 + gap, edge)
         else:
-            assert np.isfinite(theta_map(1.0 + gap, edge)).all()
+            assert np.isfinite(theta_terms(1.0 + gap, edge)).all()
 
     def test_large_spike_asymptotics(self):
-        theta, theta_prime = theta_map(1e8, find_w_plus(ISO, 0.5))
+        theta, deficit = theta_terms(1e8, find_w_plus(ISO, 0.5))
+        theta_prime = 1.0 - deficit
         assert theta / 1e8 == pytest.approx(1.0, rel=1e-6)
         assert theta_prime == pytest.approx(1.0, rel=1e-6)
