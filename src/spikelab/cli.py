@@ -36,13 +36,7 @@ from .spikes import (
     deform,
     delocalization_profile,
 )
-from .ensemble import (
-    SpikeMCConfig,
-    make_noise_law,
-    mixture_signal,
-    run_spike_mc,
-    stream,
-)
+from .ensemble import make_noise_law, mixture_signal, run_spike_mc, stream
 from .hetero import (
     CriticalValues,
     Scenario,
@@ -523,16 +517,11 @@ def cmd_simulate(cfg: dict, session: OutputSession):
     sigma = build_covariance(cfg["covariance"])
     n_dim = cfg["samples"]
     signal = build_signal(cfg["signal"], sigma.dim, n_dim)
-    law = build_noise(cfg.get("noise"))
-    mc = SpikeMCConfig(
-        sigma=sigma, signal=signal, law=law, reps=cfg["reps"],
-        master_seed=cfg.get("master_seed", 0),
-        model=cfg.get("model", "additive"),
-        couple_theta=cfg.get("couple_theta", False),
-        n_top=cfg.get("n_top"), tau=cfg.get("tau", 0.01),
-        workers=cfg.get("threads"),
-    )
-    samples = run_spike_mc(mc)
+    samples = run_spike_mc(
+        sigma, signal, build_noise(cfg.get("noise")), cfg["reps"],
+        cfg.get("master_seed", 0), model=cfg.get("model", "additive"),
+        couple_theta=cfg.get("couple_theta", False), n_top=cfg.get("n_top"),
+        tau=cfg.get("tau", 0.01), workers=cfg.get("threads"))
     csv_path = session.path("spike_samples.csv")
     samples.to_csv(csv_path, precision=cfg.get("precision", 10))
     meta = session.meta()
@@ -582,11 +571,10 @@ def _nonuniversality(session, cfg, reps):
     results = {}
     for li, law_kind in enumerate(laws):
         for mi, model in enumerate(("additive", "multiplicative")):
-            mc = SpikeMCConfig(sigma=sigma, signal=signal,
-                               law=make_noise_law(law_kind), reps=reps,
-                               master_seed=seed + 1000 * li + 100 * mi,
-                               model=model, workers=cfg.get("threads"))
-            results[(law_kind, model)] = run_spike_mc(mc).lambdas[:, 0]
+            results[(law_kind, model)] = run_spike_mc(
+                sigma, signal, make_noise_law(law_kind), reps,
+                seed + 1000 * li + 100 * mi, model=model,
+                workers=cfg.get("threads")).lambdas[:, 0]
 
     hist_path = session.write_csv(
         "nonuniversality_hist.csv", ("law", "model", "bin_left", "bin_right", "count"),
@@ -624,6 +612,9 @@ def _critical_values_from_cfg(cfg: dict) -> CriticalValues:
 
 
 def cmd_test(cfg: dict, session: OutputSession):
+    if cfg.get("calibration", cfg)["k_star"] != cfg["k_star"]:
+        raise ConfigError(f"k_star={cfg['k_star']} disagrees with calibration/k_star="
+                          f"{cfg['calibration']['k_star']}")
     if "data_csv" in cfg:
         data = _load_data_csv(cfg["data_csv"])
     elif "generate" in cfg:

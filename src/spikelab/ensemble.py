@@ -2,10 +2,11 @@
 
 Replications draw from counter-based Philox streams keyed by
 (master_seed, ..., replication index), so results are bit-identical under
-any parallel schedule.  Every replication loop runs through ``map_chunks``:
-it splits the replications into consecutive chunks that fill
-``CHUNK_BYTES`` (``rep_chunks``), hands each chunk the streams of its
-replications, and concatenates the chunks' results in replication order.  A
+any parallel schedule.  Every replication loop but the verify battery's
+(one seed per ``parallel_map`` item) runs through ``map_chunks``: it splits
+the replications into consecutive chunks that fill ``CHUNK_BYTES``
+(``rep_chunks``), hands each chunk the streams of its replications, and
+concatenates the chunks' results in replication order.  A
 chunk draws its replications into one stacked array and makes one stacked
 factorization (``top_eigs`` on a stack); BLAS and LAPACK treat every matrix
 of a stack on its own, so a record does not depend on the chunk it fell in.
@@ -254,39 +255,18 @@ def top_eigs(ytilde: np.ndarray, r: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpikeMCConfig:
-    """Configuration for a spiked-ensemble Monte Carlo run."""
-
-    sigma: CovarianceModel
-    signal: SignalModel
-    law: NoiseLaw
-    reps: int
-    master_seed: int
-    model: str = "additive"          # additive | multiplicative
-    couple_theta: bool = False
-    n_top: int | None = None
-    tau: float = 0.01
-    workers: int | None = None
-
-
-@dataclass(frozen=True)
 class SpikeSamples:
     """Per-replication top eigenvalues and scaled spike fluctuations.
 
-    Record ``i`` was drawn from ``stream(config.master_seed, rep_ids[i])``,
-    so any single replication can be replayed exactly.
+    Record ``i`` was drawn from ``stream(master_seed, i)``, so any single
+    replication can be replayed exactly; the CSV's ``rep`` column is the row
+    index ``i``.
     """
 
     lambdas: np.ndarray
     fluctuations: np.ndarray
     theta_samples: np.ndarray | None
-    rep_ids: np.ndarray
-    config: SpikeMCConfig
     theory: SpikeTheory | None
-
-    @property
-    def reps(self) -> int:
-        return self.lambdas.shape[0]
 
     def to_csv(self, path, precision: int = 17):
         """One row per replication: rep id, eigenvalues, fluctuations, Theta."""
@@ -299,8 +279,8 @@ class SpikeSamples:
         fmt = f"{{:.{precision}g}}".format
         with open(path, "w", newline="") as fh:
             fh.write(",".join(cols) + "\n")
-            for i in range(self.reps):
-                row = [str(int(self.rep_ids[i]))]
+            for i in range(self.lambdas.shape[0]):
+                row = [str(i)]
                 row += [fmt(x) for x in self.lambdas[i]]
                 row += [fmt(x) for x in self.fluctuations[i]]
                 if self.theta_samples is not None:
@@ -308,25 +288,29 @@ class SpikeSamples:
                 fh.write(",".join(row) + "\n")
 
 
-def run_spike_mc(config: SpikeMCConfig) -> SpikeSamples:
-    """Run the seeded spike Monte Carlo for the additive or multiplicative model.
+def run_spike_mc(sigma: CovarianceModel, signal: SignalModel, law: NoiseLaw,
+                 reps: int, master_seed: int, *, model: str = "additive",
+                 couple_theta: bool = False, n_top: int | None = None,
+                 tau: float = 0.01, workers=None) -> SpikeSamples:
+    """Seeded spike Monte Carlo of S + Sigma^(1/2) X (``model`` "additive") or
+    (Sigma + S S^T)^(1/2) X ("multiplicative"), X = law / sqrt(N).
 
-    With ``couple_theta`` each record also stores the nonuniversal components
-    computed from the same noise draw, enabling the characteristic-function
-    comparison against the deterministic theory.
+    Each record holds the top ``n_top`` (default max(K0, 1)) eigenvalues and
+    the fluctuations sqrt(N)(lambda_k - theta_k) of the K0 spikes clearing
+    ``tau``; with ``couple_theta`` also the nonuniversal components of the
+    same draw, for the characteristic-function check against the theory.
     """
-    sigma, signal, law = config.sigma, config.signal, config.law
     m_dim, n_dim = signal.shape
     if sigma.dim != m_dim:
         raise DomainError("covariance / signal dimension mismatch")
-    if config.model not in ("additive", "multiplicative"):
-        raise ConfigError(f"unknown model {config.model!r}")
+    if model not in ("additive", "multiplicative"):
+        raise ConfigError(f"unknown model {model!r}")
 
-    pop = deform(sigma, signal, config.tau)
+    pop = deform(sigma, signal, tau)
     theory = (asymptotic_quantities(sigma, signal, pop, law, n_dim)
               if pop.K0 >= 1 else None)
     k0 = pop.K0
-    r = config.n_top if config.n_top is not None else max(k0, 1)
+    r = n_top if n_top is not None else max(k0, 1)
     if not k0 <= r <= min(m_dim, n_dim):
         raise ConfigError(f"n_top={r} is outside [K0, min(M, N)] = "
                           f"[{k0}, {min(m_dim, n_dim)}]")
@@ -335,7 +319,7 @@ def run_spike_mc(config: SpikeMCConfig) -> SpikeSamples:
     # additive: S + Sigma^(1/2) X; multiplicative: (Sigma + S S^T)^(1/2) X.
     # Both are drawn in the eigen-coordinates of the covariance under the
     # root, rotated on the left by V', which keeps the singular values
-    if config.model == "additive":
+    if model == "additive":
         root = sigma
         shift = sigma.coordinates(signal.left * signal.svals) @ signal.right.T
     else:
@@ -343,7 +327,7 @@ def run_spike_mc(config: SpikeMCConfig) -> SpikeSamples:
                                matrix=sigma.matrix() + signal.gram_m())
         shift = 0.0
 
-    coupled = bool(config.couple_theta and k0)
+    coupled = bool(couple_theta and k0)
 
     def chunk(rngs):
         x = np.empty((len(rngs), m_dim, n_dim))
@@ -360,13 +344,10 @@ def run_spike_mc(config: SpikeMCConfig) -> SpikeSamples:
               * np.sum((theory.sqrt_sigma_psi @ x) * theory.s_top_psi, axis=-1))
         return lam, fluct, th
 
-    lambdas, fluct, *thetas = map_chunks(chunk, config.reps, config.workers,
-                                         rep_bytes(m_dim, n_dim), config.master_seed)
-    return SpikeSamples(
-        lambdas=lambdas, fluctuations=fluct,
-        theta_samples=thetas[0] if coupled else None,
-        rep_ids=np.arange(config.reps), config=config, theory=theory,
-    )
+    lambdas, fluct, *thetas = map_chunks(chunk, reps, workers,
+                                         rep_bytes(m_dim, n_dim), master_seed)
+    return SpikeSamples(lambdas=lambdas, fluctuations=fluct,
+                        theta_samples=thetas[0] if coupled else None, theory=theory)
 
 
 def equal_split_labels(n_samples: int, n_clusters: int) -> np.ndarray:
@@ -405,17 +386,18 @@ class CfComparison:
     gap: float
 
 
-def empirical_cf_check(samples: SpikeSamples, theory: SpikeTheory,
-                       s, t) -> CfComparison:
+def empirical_cf_check(samples: SpikeSamples, law: NoiseLaw, s, t) -> CfComparison:
     """Empirical vs predicted joint characteristic function of (Phi, Theta).
 
     The empirical side averages exp(i(s . Phi + t . Theta)) over
     replications, with Phi_k = sqrt(N)(lambda_k - theta_k) - Theta_k - L_k
     from the coupled records; the predicted side is
-    exp(-(V + 2 W)/2) E exp(i t . Theta) with the exact Theta cf.
+    exp(-(V + 2 W)/2) E exp(i t . Theta) with the exact Theta cf of ``law``,
+    the noise law the samples were drawn from.
     """
     if samples.theta_samples is None:
         raise DomainError("samples lack coupled nonuniversal components")
+    theory = samples.theory
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     k0 = theory.K0
@@ -425,7 +407,5 @@ def empirical_cf_check(samples: SpikeSamples, theory: SpikeTheory,
     phi_samples = samples.fluctuations - samples.theta_samples - theory.spike_bias
     lhs = complex(np.mean(np.exp(1j * (phi_samples @ s + samples.theta_samples @ t))))
     quad = float(s @ theory.gauss_cov @ s + 2.0 * (s @ theory.cross_cov @ t))
-    rhs = math.exp(-0.5 * quad) * theta_component_cf(
-        t, theory, samples.config.law, theory.N
-    )
+    rhs = math.exp(-0.5 * quad) * theta_component_cf(t, theory, law, theory.N)
     return CfComparison(lhs, rhs, abs(lhs - rhs))

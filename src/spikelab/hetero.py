@@ -84,6 +84,10 @@ class CriticalValues:
     cv_rs: float
     master_seed: int
 
+    def rejects(self, ds, rs):
+        """(DS rejects, RS rejects): each statistic at or above its cutoff."""
+        return ds >= self.cv_ds, rs >= self.cv_rs
+
 
 def nearest_rank_quantile(values, q: float) -> float:
     """Distribution-free nearest-rank quantile (no interpolation)."""
@@ -146,7 +150,7 @@ def detect(data, k_star: int, cv: CriticalValues,
     if center:
         data = data - data.mean(axis=-1, keepdims=True)
     ds, rs = ds_rs_from_data(data, k_star)
-    return DetectionResult(ds, rs, ds >= cv.cv_ds, rs >= cv.cv_rs, k_star)
+    return DetectionResult(ds, rs, *cv.rejects(ds, rs), k_star)
 
 
 # -- experiment harness ---------------------------------------------------
@@ -257,7 +261,8 @@ def draw_data(scenario: Scenario, rngs) -> np.ndarray:
     axis recipes have no V and scale rows.  Each generator is consumed in a
     fixed order: centres, then noise, then the Haar covariance's spectrum
     and Gaussian matrix.  One stacked QR builds every Haar basis O of the
-    chunk; each draw then uses F = diag(spectrum)^{1/2} O' unsorted.
+    chunk, and the chunk's covariances O diag(spectrum) O', unsorted, form
+    one stacked ``CovarianceModel``.
     """
     s = scenario
     haar = isinstance(s.sigma, tuple)
@@ -277,17 +282,11 @@ def draw_data(scenario: Scenario, rngs) -> np.ndarray:
             gaussian[i] = rng.standard_normal((s.m, s.m))
     if not redraw_centers:
         centers = s.centers
-    if haar:
-        rotation = np.swapaxes(haar_orthogonal(gaussian), -1, -2)   # O'
-        data = np.multiply(np.sqrt(spectra)[..., None], rotation, order="C") @ noise
-        if centers is not None:
-            centers = rotation @ centers
-    else:
-        data = s.sigma.sqrt_coordinates(noise)
-        if centers is not None:
-            centers = s.sigma.coordinates(centers)
+    sigma = (CovarianceModel("haar", spectra, haar_orthogonal(gaussian)) if haar
+             else s.sigma)
+    data = sigma.sqrt_coordinates(noise)
     if centers is not None:
-        data += centers[..., equal_split_labels(s.n, centers.shape[-1])]
+        data += sigma.coordinates(centers)[..., equal_split_labels(s.n, centers.shape[-1])]
     return data
 
 
@@ -379,8 +378,9 @@ def _run_cells(grid, reps, cv, master_seed, workers, clusters=0,
         scenario = Scenario(cell.m, cell.n, make_noise_law(cell.law), sigma,
                             clusters, center_scale)
         ds, rs = _map_draws(scenario, cv.k_star, reps, workers, master_seed, c_idx, cv=cv)
-        rates_ds[c_idx] = np.count_nonzero(ds >= cv.cv_ds) / reps if reps else 0.0
-        rates_rs[c_idx] = np.count_nonzero(rs >= cv.cv_rs) / reps if reps else 0.0
+        reject_ds, reject_rs = cv.rejects(ds, rs)
+        rates_ds[c_idx] = np.count_nonzero(reject_ds) / reps if reps else 0.0
+        rates_rs[c_idx] = np.count_nonzero(reject_rs) / reps if reps else 0.0
     return rates_ds, rates_rs
 
 

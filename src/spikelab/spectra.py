@@ -54,7 +54,9 @@ class CovarianceModel:
     ``basis`` (V) is None for the axis-aligned recipes, whose ``values`` are
     the diagonal entries in storage order; otherwise ``values`` are the
     eigenvalues belonging to V's columns.  Every map below is an elementwise
-    function of ``values`` carried through V where there is one.
+    function of ``values`` carried through V where there is one.  A stack of
+    covariances (values (..., M), basis (..., M, M)) serves ``dim``,
+    ``factor``, ``coordinates`` and ``sqrt_coordinates``, matrix by matrix.
     """
 
     recipe: str
@@ -63,7 +65,7 @@ class CovarianceModel:
 
     @property
     def dim(self) -> int:
-        return len(self.values)
+        return self.values.shape[-1]
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -88,7 +90,7 @@ class CovarianceModel:
         """V' x: a vector or a block of columns in the order of ``values``."""
         if self.basis is None:
             return np.asarray(x, dtype=float)
-        return self.basis.T @ x
+        return np.swapaxes(self.basis, -1, -2) @ x
 
     def from_coordinates(self, y: np.ndarray) -> np.ndarray:
         """V y: the inverse of ``coordinates``, back to storage order."""
@@ -121,7 +123,8 @@ class CovarianceModel:
         use; None for the axis recipes, which scale rows instead."""
         if self.basis is None:
             return None
-        return np.multiply(np.sqrt(self.values)[:, None], self.basis.T, order="C")
+        return np.multiply(np.sqrt(self.values)[..., None],
+                           np.swapaxes(self.basis, -1, -2), order="C")
 
     def sqrt_coordinates(self, x: np.ndarray) -> np.ndarray:
         """V' Sigma^{1/2} x = F x for a vector, a block of columns or a stack

@@ -10,7 +10,7 @@ import pytest
 
 from spikelab.spectra import make_covariance
 from spikelab.spikes import SignalModel, asymptotic_quantities, deform
-from spikelab.ensemble import SpikeMCConfig, make_noise_law, run_spike_mc
+from spikelab.ensemble import make_noise_law, run_spike_mc
 from spikelab.hetero import calibrate
 
 # reference geometry used throughout: isotropic noise, one localized spike
@@ -62,13 +62,11 @@ def mc_runs(localized_setup):
     def get(law_kind, model="additive"):
         key = (law_kind, model)
         if key not in cache:
-            cfg = SpikeMCConfig(
-                sigma, signal, make_noise_law(law_kind), reps=MC_REPS,
-                master_seed=MC_SEED + 7 * len(cache),
-                model=model, couple_theta=(model == "additive"),
-                workers=os.cpu_count(),
+            cache[key] = run_spike_mc(
+                sigma, signal, make_noise_law(law_kind), MC_REPS,
+                MC_SEED + 7 * len(cache), model=model,
+                couple_theta=(model == "additive"), workers=os.cpu_count(),
             )
-            cache[key] = run_spike_mc(cfg)
         return cache[key]
 
     return get
@@ -90,9 +88,8 @@ def rate_medians():
         m_dim = n_dim // 2
         sigma = make_covariance("identity", m_dim)
         signal = SignalModel.localized(math.sqrt(GEOM["d2"]), m_dim, n_dim)
-        run = run_spike_mc(SpikeMCConfig(sigma, signal, law, reps=500,
-                                         master_seed=314, n_top=1,
-                                         workers=os.cpu_count()))
+        run = run_spike_mc(sigma, signal, law, 500, 314, n_top=1,
+                           workers=os.cpu_count())
         theta = run.theory.theta[0]
         out[n_dim] = float(np.median(np.abs(run.lambdas[:, 0] - theta)))
     return out

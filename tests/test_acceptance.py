@@ -18,7 +18,6 @@ from spikelab.spectra import esd
 from spikelab.spikes import SignalModel, asymptotic_quantities, deform, \
     sigma_i_reduction_check
 from spikelab.ensemble import (
-    SpikeMCConfig,
     empirical_cf_check,
     make_noise_law,
     run_spike_mc,
@@ -150,7 +149,7 @@ def test_criterion_07_characteristic_function_identity(mc_runs):
     band = 4.0 / math.sqrt(MC_REPS) + 0.05
     gaps = {}
     for s, t in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
-        cmp = empirical_cf_check(out, out.theory, [s], [t])
+        cmp = empirical_cf_check(out, make_noise_law("shifted-exponential"), [s], [t])
         gaps[(s, t)] = cmp.gap
     worst = max(gaps.values())
     report(7, worst <= band,
@@ -219,9 +218,8 @@ def test_criterion_13_reproducibility(tmp_path, cv_full):
     law = make_noise_law("three-point")
     paths = []
     for idx, workers in enumerate((1, 4)):
-        run = run_spike_mc(SpikeMCConfig(sigma, signal, law, reps=40,
-                                         master_seed=42, couple_theta=True,
-                                         workers=workers))
+        run = run_spike_mc(sigma, signal, law, 40, 42, couple_theta=True,
+                           workers=workers)
         p = tmp_path / f"samples_{idx}.csv"
         run.to_csv(p)
         paths.append(p.read_bytes())

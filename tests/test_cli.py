@@ -167,6 +167,22 @@ class TestCalibrateAndTest:
         assert err.startswith("config error:") and "master_seed" in err
         assert err.count("\n") == 1 and not out.exists()
 
+    def test_calibration_block_k_star_mismatch_is_config_error(self, tmp_path, capsys,
+                                                               monkeypatch):
+        monkeypatch.setattr("spikelab.ensemble.stream", None)  # no draw may run
+        monkeypatch.setattr("spikelab.cli.stream", None)
+        cfg = write_config(tmp_path, {
+            "k_star": 2,
+            "generate": {"covariance": {"recipe": "identity", "dim": 10},
+                         "samples": 40, "clusters": 2},
+            "calibration": {"k_star": 4, "n_star": 50, "reps": 100},
+        })
+        out = tmp_path / "out"
+        assert main(["test", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "k_star=2" in err and "k_star=4" in err and not out.exists()
+
     def test_nstar_below_2kstar_minus_1_is_config_error(self, tmp_path, capsys,
                                                         monkeypatch):
         monkeypatch.setattr("spikelab.ensemble.stream", None)  # no draw may run

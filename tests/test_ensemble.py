@@ -13,7 +13,6 @@ from spikelab.stieltjes import find_w_plus
 from spikelab.spikes import SignalModel
 from spikelab import ensemble
 from spikelab.ensemble import (
-    SpikeMCConfig,
     _discrete_sampler,
     empirical_cf_check,
     equal_split_labels,
@@ -238,8 +237,8 @@ class TestRunSpikeMc:
         law = make_noise_law("three-point")
         kw = dict(sigma=sigma, signal=signal, law=law, reps=8, master_seed=99,
                   couple_theta=True)
-        serial = run_spike_mc(SpikeMCConfig(**kw, workers=1))
-        threaded = run_spike_mc(SpikeMCConfig(**kw, workers=4))
+        serial = run_spike_mc(**kw, workers=1)
+        threaded = run_spike_mc(**kw, workers=4)
         assert np.array_equal(serial.lambdas, threaded.lambdas)
         assert np.array_equal(serial.theta_samples, threaded.theta_samples)
 
@@ -257,7 +256,7 @@ class TestRunSpikeMc:
         runs = []
         for budget in (1, 2**30):
             monkeypatch.setattr(ensemble, "CHUNK_BYTES", budget)
-            runs += [run_spike_mc(SpikeMCConfig(**cfg, workers=w)) for w in (1, 2)]
+            runs += [run_spike_mc(**cfg, workers=w) for w in (1, 2)]
         assert runs[0].fluctuations.shape == (11, 2)
         for other in runs[1:]:
             assert np.array_equal(other.lambdas, runs[0].lambdas)
@@ -274,10 +273,10 @@ class TestRunSpikeMc:
         rng = stream(3)
         left = np.linalg.qr(rng.standard_normal((m, 2)))[0]
         right = np.linalg.qr(rng.standard_normal((n, 2)))[0]
-        run_spike_mc(SpikeMCConfig(
+        run_spike_mc(
             make_covariance("toeplitz", m, rho=0.3),
             SignalModel.from_factors(left, [2.0, 1.5], right),
-            make_noise_law("gaussian"), reps=3, master_seed=1, model="multiplicative"))
+            make_noise_law("gaussian"), reps=3, master_seed=1, model="multiplicative")
         assert [shape for shape in eigh_calls if max(shape) > 2] == [(m, m)]
 
     @pytest.mark.parametrize("model", ["additive", "multiplicative"])
@@ -290,26 +289,27 @@ class TestRunSpikeMc:
         left = np.linalg.qr(rng.standard_normal((m, 2)))[0]
         right = np.linalg.qr(rng.standard_normal((n, 2)))[0]
         law = make_noise_law("four-point")
-        out = run_spike_mc(SpikeMCConfig(
+        out = run_spike_mc(
             make_covariance("toeplitz", m, rho=0.3),
             SignalModel.from_factors(left, strengths, right), law, reps=4,
-            master_seed=seed, model=model, n_top=3))
+            master_seed=seed, model=model, n_top=3)
         idx = np.arange(m)
         sigma = 0.3 ** np.abs(idx[:, None] - idx[None, :])
         s = (left * strengths) @ right.T
         vals, vecs = np.linalg.eigh(sigma if model == "additive" else sigma + s @ s.T)
         root = (vecs * np.sqrt(vals)) @ vecs.T
         shift = s if model == "additive" else 0.0
-        for i, rep in enumerate(out.rep_ids):
-            x = law.sample(stream(seed, rep), (m, n)) / math.sqrt(n)
+        assert out.lambdas.shape == (4, 3)
+        for i in range(4):
+            x = law.sample(stream(seed, i), (m, n)) / math.sqrt(n)
             svals = np.linalg.svd(root @ x + shift, compute_uv=False)
             np.testing.assert_allclose(out.lambdas[i], svals[:3] ** 2, rtol=1e-12)
 
     def test_subcritical_returns_raw_eigenvalues(self):
         sigma = make_covariance("identity", 40)
         signal = SignalModel.localized(0.5, 40, 80)
-        out = run_spike_mc(SpikeMCConfig(sigma, signal, make_noise_law("gaussian"),
-                                         reps=3, master_seed=1, n_top=2))
+        out = run_spike_mc(sigma, signal, make_noise_law("gaussian"), reps=3,
+                           master_seed=1, n_top=2)
         assert out.lambdas.shape == (3, 2)
         assert out.fluctuations.shape == (3, 0)
         assert out.theory is None
@@ -376,12 +376,12 @@ class TestMixtureSignal:
 class TestEmpiricalCf:
     def test_zero_arguments_exact(self, mc_runs):
         out = mc_runs("gaussian")
-        cmp = empirical_cf_check(out, out.theory, [0.0], [0.0])
+        cmp = empirical_cf_check(out, make_noise_law("gaussian"), [0.0], [0.0])
         assert cmp.empirical == 1.0 and cmp.predicted == 1.0
 
     def test_phi_only_matches_gaussian_cf(self, mc_runs):
         out = mc_runs("gaussian")
-        cmp = empirical_cf_check(out, out.theory, [1.0], [0.0])
+        cmp = empirical_cf_check(out, make_noise_law("gaussian"), [1.0], [0.0])
         assert cmp.predicted == pytest.approx(
             math.exp(-0.5 * out.theory.gauss_cov[0, 0]), abs=1e-12
         )
@@ -390,18 +390,18 @@ class TestEmpiricalCf:
     def test_symmetric_law_factorizes(self, mc_runs):
         from spikelab.spikes import theta_component_cf
         out = mc_runs("three-point")
-        th = out.theory
+        th, law = out.theory, make_noise_law("three-point")
         s, t = [0.7], [0.9]
-        cmp = empirical_cf_check(out, th, s, t)
+        cmp = empirical_cf_check(out, law, s, t)
         v_quad = float(np.array(s) @ th.gauss_cov @ np.array(s))
         factorized = (math.exp(-0.5 * v_quad)
-                      * theta_component_cf(np.array(t), th, out.config.law, th.N))
+                      * theta_component_cf(np.array(t), th, law, th.N))
         assert cmp.predicted == pytest.approx(factorized, abs=1e-15)
 
     def test_requires_coupling(self, mc_runs):
         out = mc_runs("gaussian", "multiplicative")  # coupling off for this model
         with pytest.raises(DomainError):
-            empirical_cf_check(out, mc_runs("gaussian").theory, [1.0], [0.0])
+            empirical_cf_check(out, make_noise_law("gaussian"), [1.0], [0.0])
 
 
 class TestConvergenceRate:

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from spikelab.ensemble import top_eigs
 from spikelab.errors import DomainError
-from spikelab.spectra import esd, haar_orthogonal, make_covariance, newton_in
+from spikelab.spectra import (
+    CovarianceModel,
+    esd,
+    haar_orthogonal,
+    make_covariance,
+    newton_in,
+)
 from spikelab.stieltjes import check_assumptions, find_w_plus
 
 
@@ -199,6 +205,26 @@ def test_coordinate_draw_keeps_the_top_eigenvalues(recipe, data):
     got = top_eigs(cov.sqrt_coordinates(x) + cov.coordinates(s), r)
     # each side carries a few eps * lambda_1 (about 10 at dim 12)
     np.testing.assert_allclose(got, want, rtol=0, atol=32 * EPS * want[0])
+
+
+@pytest.mark.parametrize("stack, dim, n", [(1, 1, 3), (3, 7, 5), (4, 30, 60)])
+def test_stacked_covariance_maps_each_matrix_as_its_own(stack, dim, n):
+    # a chunk of Haar draws is one stacked model: every map must give each
+    # matrix exactly the bits the matrix gives alone, for a stack of blocks
+    # and for one block shared by the stack
+    rng = np.random.default_rng(stack * dim)
+    values = rng.uniform(1.0, 1.5, (stack, dim))
+    stacked = CovarianceModel("haar", values,
+                              haar_orthogonal(rng.standard_normal((stack, dim, dim))))
+    blocks, shared = rng.standard_normal((stack, dim, n)), rng.standard_normal((dim, 2))
+    assert stacked.dim == dim
+    for i in range(stack):
+        alone = CovarianceModel("haar", values[i], stacked.basis[i])
+        assert np.array_equal(stacked.factor[i], alone.factor)
+        assert np.array_equal(stacked.coordinates(blocks)[i], alone.coordinates(blocks[i]))
+        assert np.array_equal(stacked.coordinates(shared)[i], alone.coordinates(shared))
+        assert np.array_equal(stacked.sqrt_coordinates(blocks)[i],
+                              alone.sqrt_coordinates(blocks[i]))
 
 
 def test_newton_in_is_elementwise_and_gives_floats_for_scalars():
