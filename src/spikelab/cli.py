@@ -301,15 +301,9 @@ _DEFAULT_CALIBRATION = {"k_star": 4, "n_star": 100, "reps": 30000,
                         "quantile": 0.95, "master_seed": 0}
 
 
-# config key that each command-line flag overrides
-_FLAG_KEYS = {"seed": "master_seed", "reps": "reps", "threads": "threads",
-              "kstar": "k_star", "nstar": "n_star", "quantile": "quantile",
-              "target": "target", "scale": "scale", "n": "samples",
-              "seeds": "seeds"}
-
-
 def load_config(args) -> dict:
-    """The subcommand's JSON config with its command-line flags applied."""
+    """The subcommand's JSON config with its command-line flags applied: each
+    flag's ``dest`` is the config key it sets."""
     cfg = {}
     path = args.config
     if path is not None:
@@ -323,9 +317,9 @@ def load_config(args) -> dict:
             ) from exc
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for flag, key in _FLAG_KEYS.items():
-        if getattr(args, flag, None) is not None:
-            cfg[key] = getattr(args, flag)
+    keys = CONFIG_SCHEMAS[args.command]["properties"]
+    cfg.update((key, value) for key, value in vars(args).items()
+               if value is not None and key in keys)
     for bad in _non_finite_fields(cfg):
         raise ConfigError(f"config field {'/'.join(map(str, bad))}: not a finite number")
     # the first error at the shallowest field; best_match too prefers the shallowest
@@ -407,14 +401,16 @@ def build_noise(spec: dict | None):
 
 
 class OutputSession:
-    """Tracks files written by one command run on ``cfg``; used as a context
-    manager, it removes them when the block raises, except on a
-    ``VerificationFailure``, whose report is the result.  It starts the run's
-    clock when it opens, and ``meta`` is the run record every output embeds."""
+    """The one writer of a command run on ``cfg``: it tracks the files it
+    writes and, used as a context manager, removes them when the block raises,
+    except on a ``VerificationFailure``, whose report is the result.  It starts
+    the run's clock when it opens, and ``meta`` is the run record every output
+    embeds.  ``sig`` is the run's significant digits (config ``precision``)."""
 
     def __init__(self, out_dir: str, cfg: dict):
         self.out_dir = out_dir
         self.cfg = cfg
+        self.sig = cfg.get("precision", 10)
         self.paths: list[str] = []
         self.t0 = time.perf_counter()
 
@@ -423,24 +419,28 @@ class OutputSession:
                 "stream_version": 2,   # 2: white Gaussian nulls drawn bidiagonally
                 "wall_time_s": round(time.perf_counter() - self.t0, 3)}
 
-    def path(self, name: str) -> str:
+    def _path(self, name: str) -> str:
         os.makedirs(self.out_dir, exist_ok=True)
         p = os.path.join(self.out_dir, name)
         self.paths.append(p)
         return p
 
     def write_json(self, name: str, payload: dict) -> str:
-        p = self.path(name)
+        p = self._path(name)
         with open(p, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return p
 
     def write_csv(self, name: str, header, rows) -> str:
-        p = self.path(name)
+        """One line per row; a float (numpy's too) at ``sig`` significant
+        digits, anything else as ``str``."""
+        p = self._path(name)
+        spec = f".{self.sig}g"
         with open(p, "w") as fh:
             for row in [header, *rows]:
-                fh.write(",".join(str(x) for x in row) + "\n")
+                fh.write(",".join(format(x, spec) if isinstance(x, float) else str(x)
+                                  for x in row) + "\n")
         return p
 
     def __enter__(self):
@@ -451,10 +451,6 @@ class OutputSession:
             for p in self.paths:
                 with contextlib.suppress(OSError):
                     os.remove(p)
-
-
-def _fmt(x, sig: int) -> str:
-    return format(float(x), f".{sig}g")
 
 
 # -- subcommand handlers --------------------------------------------------
@@ -468,7 +464,6 @@ def cmd_theory(cfg: dict, session: OutputSession):
     signal = build_signal(cfg["signal"], sigma.dim, n_dim)
     law = build_noise(cfg.get("noise"))
     tau = cfg.get("tau", 0.01)
-    sig_digits = cfg.get("precision", 10)
 
     pop = deform(sigma, signal, tau)
     assumptions = check_assumptions(pop.edge, tau)
@@ -510,7 +505,7 @@ def cmd_theory(cfg: dict, session: OutputSession):
             },
         })
     print(session.write_json("theory_report.json", {
-        "report": jsonable(report, sig_digits), "meta": session.meta()}))
+        "report": jsonable(report, session.sig), "meta": session.meta()}))
 
 
 def cmd_simulate(cfg: dict, session: OutputSession):
@@ -522,8 +517,7 @@ def cmd_simulate(cfg: dict, session: OutputSession):
         cfg.get("master_seed", 0), model=cfg.get("model", "additive"),
         couple_theta=cfg.get("couple_theta", False), n_top=cfg.get("n_top"),
         tau=cfg.get("tau", 0.01), workers=cfg.get("threads"))
-    csv_path = session.path("spike_samples.csv")
-    samples.to_csv(csv_path, precision=cfg.get("precision", 10))
+    csv_path = samples.to_csv(session, "spike_samples.csv")
     meta = session.meta()
     meta["theta"] = jsonable(samples.theory.theta) if samples.theory else None
     meta["K0"] = int(samples.fluctuations.shape[1])
@@ -531,7 +525,7 @@ def cmd_simulate(cfg: dict, session: OutputSession):
     print(csv_path)
 
 
-def _histogram_rows(values: np.ndarray, sig_digits: int) -> list:
+def _histogram_rows(values: np.ndarray) -> list:
     """(bin_left, bin_right, count) rows over Freedman-Diaconis bins."""
     q75, q25 = np.percentile(values, [75, 25])
     span = float(np.ptp(values))
@@ -540,8 +534,7 @@ def _histogram_rows(values: np.ndarray, sig_digits: int) -> list:
         width = max(span, 1.0) / 10.0
     nbins = max(int(math.ceil(span / width)), 1)
     counts, edges = np.histogram(values, bins=nbins, range=(values.min(), values.max()))
-    return [(_fmt(edges[i], sig_digits), _fmt(edges[i + 1], sig_digits), int(c))
-            for i, c in enumerate(counts)]
+    return [(edges[i], edges[i + 1], int(c)) for i, c in enumerate(counts)]
 
 
 def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -563,7 +556,6 @@ def _nonuniversality(session, cfg, reps):
     n_dim = cfg.get("samples", 400)
     laws = cfg.get("laws", ["gaussian", "three-point", "four-point"])
     seed = cfg.get("master_seed", 0)
-    sig_digits = cfg.get("precision", 10)
 
     sigma = build_covariance({"recipe": "identity", "dim": m_dim})
     signal = SignalModel.localized(math.sqrt(cfg.get("strength_sq", 5.25)),
@@ -579,13 +571,13 @@ def _nonuniversality(session, cfg, reps):
     hist_path = session.write_csv(
         "nonuniversality_hist.csv", ("law", "model", "bin_left", "bin_right", "count"),
         [(law_kind, model, *row) for (law_kind, model), lam in sorted(results.items())
-         for row in _histogram_rows(lam, sig_digits)])
+         for row in _histogram_rows(lam)])
     ks = {model: {f"{la}|{lb}": _ks_distance(results[(la, model)],
                                              results[(lb, model)])
                   for la, lb in itertools.combinations(laws, 2)}
           for model in ("additive", "multiplicative")}
     session.write_json("nonuniversality_ks.json",
-                       {"ks": jsonable(ks, sig_digits), "meta": session.meta()})
+                       {"ks": jsonable(ks, session.sig), "meta": session.meta()})
     return hist_path
 
 
@@ -600,6 +592,8 @@ def cmd_calibrate(cfg: dict, session: OutputSession):
 
 
 def _critical_values_from_cfg(cfg: dict) -> CriticalValues:
+    if "critical_values" in cfg and "calibration" in cfg:
+        raise ConfigError("give critical_values or calibration, not both")
     if "critical_values" in cfg:
         cvs = cfg["critical_values"]
         return CriticalValues(k_star=cfg["k_star"], n_star=0, reps=0,
@@ -653,11 +647,8 @@ def _load_data_csv(path: str) -> np.ndarray:
     return data
 
 
-def _write_table(session, name, report, sig_digits):
-    header, rows = report.to_rows()
-    csv_path = session.write_csv(f"{name}.csv", header, [
-        [x if isinstance(x, str) else _fmt(x, sig_digits) for x in row]
-        for row in rows])
+def _write_table(session, name, report):
+    csv_path = session.write_csv(f"{name}.csv", *report.to_rows())
     session.write_json(f"{name}.meta.json", {
         "meta": session.meta(),
         "critical_values": jsonable(vars(report.cv)),
@@ -673,7 +664,6 @@ def cmd_reproduce(cfg: dict, session: OutputSession):
     scale = cfg.get("scale", 1.0)
     seed = cfg.get("master_seed", 0)
     threads = cfg.get("threads")
-    sig_digits = cfg.get("precision", 10)
     reps = max(int(round(_BASE_REPS[target] * scale)), 1)
     if target.startswith("table"):
         cv = _critical_values_from_cfg(cfg)
@@ -683,21 +673,21 @@ def cmd_reproduce(cfg: dict, session: OutputSession):
         else:
             clusters = {"table2": 2, "table3": 3, "table4": 4}[target]
             report = run_power_experiment(clusters, grid, reps, cv, seed, threads)
-        path = _write_table(session, target, report, sig_digits)
+        path = _write_table(session, target, report)
     elif target == "figure1":
         path = _nonuniversality(session, cfg, reps)
     else:  # figure2
-        path = _figure2(session, reps, seed, threads, sig_digits)
+        path = _figure2(session, reps, seed, threads)
     print(path)
 
 
-def _figure2(session, reps, seed, threads, sig_digits):
+def _figure2(session, reps, seed, threads):
     """Histograms of the null/alternative DS and RS samples of figure 2."""
     rows = []
     for m_dim, hypothesis, ds, rs in figure2_samples(reps, seed, threads):
         for stat_name, vals in (("DS", ds), ("RS", rs)):
             rows += [(m_dim, hypothesis, stat_name, *row)
-                     for row in _histogram_rows(vals, sig_digits)]
+                     for row in _histogram_rows(vals)]
     csv_path = session.write_csv(
         "figure2_hist.csv",
         ("dim", "hypothesis", "statistic", "bin_left", "bin_right", "count"), rows)
@@ -747,7 +737,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default="out", help="output directory")
         if seeded:
-            p.add_argument("--seed", type=int, help="master seed (overrides config)")
+            p.add_argument("--seed", dest="master_seed", type=int,
+                           help="master seed (overrides config)")
             p.add_argument("--threads", type=int, help="worker threads")
         if reps:
             p.add_argument("--reps", type=int, help="replications (overrides config)")
@@ -762,8 +753,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("calibrate", cmd_calibrate, "critical values via null Monte Carlo",
                 reps=True)
-    p.add_argument("--kstar", type=int, help="cluster-count bound K*")
-    p.add_argument("--nstar", type=int, help="null ensemble dimension")
+    p.add_argument("--kstar", dest="k_star", type=int, help="cluster-count bound K*")
+    p.add_argument("--nstar", dest="n_star", type=int, help="null ensemble dimension")
     p.add_argument("--quantile", type=float, help="quantile level (default 0.95)")
 
     command("test", cmd_test, "run the heterogeneity test on data")
@@ -778,7 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replication scale factor (1.0 = published count)")
 
     p = command("verify", cmd_verify, "run the local-law verification battery")
-    p.add_argument("--n", type=int, help="small size N (protocol compares N, 4N)")
+    p.add_argument("--n", dest="samples", type=int,
+                   help="small size N (protocol compares N, 4N)")
     p.add_argument("--seeds", type=int, help="seeds per size")
 
     return parser

@@ -219,6 +219,8 @@ def make_noise_law(kind: str, atoms=None, probs=None) -> NoiseLaw:
                               f"{atoms.size} atoms and {probs.size} probabilities")
         if probs.min() < 0 or abs(math.fsum(probs) - 1.0) > 1e-12:
             raise ConfigError("discrete probabilities must be >= 0 and sum to 1")
+        # a power-of-two scale is exact and keeps huge atoms' moments finite
+        atoms = np.ldexp(atoms, -math.frexp(np.abs(atoms).max())[1])
         mean = math.fsum(probs * atoms)
         var = math.fsum(probs * (atoms - mean) ** 2)
         if var <= 0:
@@ -268,24 +270,19 @@ class SpikeSamples:
     theta_samples: np.ndarray | None
     theory: SpikeTheory | None
 
-    def to_csv(self, path, precision: int = 17):
-        """One row per replication: rep id, eigenvalues, fluctuations, Theta."""
+    def to_csv(self, session, name: str) -> str:
+        """Write one row per replication through ``session`` (the CLI's
+        ``OutputSession``): rep id, eigenvalues, fluctuations, Theta."""
         r = self.lambdas.shape[1]
         k0 = self.fluctuations.shape[1]
         cols = (["rep"] + [f"lambda_{i + 1}" for i in range(r)]
                 + [f"fluct_{i + 1}" for i in range(k0)])
+        blocks = [self.lambdas, self.fluctuations]
         if self.theta_samples is not None:
             cols += [f"theta_comp_{i + 1}" for i in range(k0)]
-        fmt = f"{{:.{precision}g}}".format
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(cols) + "\n")
-            for i in range(self.lambdas.shape[0]):
-                row = [str(i)]
-                row += [fmt(x) for x in self.lambdas[i]]
-                row += [fmt(x) for x in self.fluctuations[i]]
-                if self.theta_samples is not None:
-                    row += [fmt(x) for x in self.theta_samples[i]]
-                fh.write(",".join(row) + "\n")
+            blocks.append(self.theta_samples)
+        rows = [[i, *values] for i, values in enumerate(np.hstack(blocks).tolist())]
+        return session.write_csv(name, cols, rows)
 
 
 def run_spike_mc(sigma: CovarianceModel, signal: SignalModel, law: NoiseLaw,

@@ -186,7 +186,8 @@ def secular_values(lam, z_plus, z_minus, n):
     z = np.hstack([z_plus, z_minus])
     signs = np.concatenate([np.ones(k_plus), -np.ones(k_minus)])
     base = np.sort(lam)[::-1]
-    reach = np.linalg.svd(z_plus, compute_uv=False) ** 2
+    with np.errstate(over="ignore"):   # an inf scale is refused just below
+        reach = np.linalg.svd(z_plus, compute_uv=False) ** 2
     drop = float(np.sum(z_minus**2))   # ||Z-||_F^2 >= ||Z- Z-'||
     scale = abs(base[0]) + reach.max(initial=0.0)
     if not scale + drop < np.finfo(float).max / 4:   # keeps lo + hi finite below

@@ -24,6 +24,7 @@ from spikelab.ensemble import (
 )
 from spikelab.hetero import ScenarioCell, default_grid, run_power_experiment, \
     run_size_experiment
+from spikelab.cli import OutputSession
 from spikelab.verification import run_verification
 
 from conftest import GEOM, MC_REPS
@@ -220,9 +221,9 @@ def test_criterion_13_reproducibility(tmp_path, cv_full):
     for idx, workers in enumerate((1, 4)):
         run = run_spike_mc(sigma, signal, law, 40, 42, couple_theta=True,
                            workers=workers)
-        p = tmp_path / f"samples_{idx}.csv"
-        run.to_csv(p)
-        paths.append(p.read_bytes())
+        session = OutputSession(str(tmp_path), {"precision": 17})
+        with open(run.to_csv(session, f"samples_{idx}.csv"), "rb") as fh:
+            paths.append(fh.read())
     csv_equal = paths[0] == paths[1]
     report(13, rates_equal and csv_equal,
            "byte-identical CSV and rates under 1 vs 4 worker threads")

@@ -183,6 +183,20 @@ class TestCalibrateAndTest:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "k_star=2" in err and "k_star=4" in err and not out.exists()
 
+    def test_both_cutoff_blocks_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("spikelab.cli.calibrate", None)  # no calibration may run
+        csv = tmp_path / "data.csv"
+        np.savetxt(csv, np.eye(10), delimiter=",")
+        cfg = write_config(tmp_path, {
+            "k_star": 2, "data_csv": str(csv), **CVS,
+            "calibration": {"k_star": 2, "n_star": 50, "reps": 100, "quantile": 0.9},
+        })
+        out = tmp_path / "out"
+        assert main(["test", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: give critical_values or calibration, not both\n"
+        assert not out.exists()
+
     def test_nstar_below_2kstar_minus_1_is_config_error(self, tmp_path, capsys,
                                                         monkeypatch):
         monkeypatch.setattr("spikelab.ensemble.stream", None)  # no draw may run
@@ -289,6 +303,27 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert f"n_top={n_top} is outside" in err and not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_discrete_atoms_standardize_like_small_ones(tmp_path, capsys):
+    # +-1e200 and +-3 with equal weights both standardize to the Rademacher law
+    reports, csvs = [], []
+    for a in (1e200, 3.0):
+        cfg = dict(README_THEORY_CFG, covariance={"recipe": "identity", "dim": 30},
+                   samples=60, noise={"kind": "discrete", "atoms": [-a, a],
+                                      "probs": [0.5, 0.5]})
+        out = tmp_path / f"out{a}"
+        assert main(["theory", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        reports.append(json.loads((out / "theory_report.json").read_text())["report"])
+        cfg = write_config(tmp_path, dict(cfg, reps=5))
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        csvs.append((out / "spike_samples.csv").read_bytes())
+    assert reports[0]["noise"] == {"kind": "discrete", "kappa3": 0.0, "kappa4": -2.0}
+    assert reports[0]["gauss_cov"] == reports[1]["gauss_cov"]
+    assert csvs[0] == csvs[1]
+    assert capsys.readouterr().err == ""
 
 
 class TestReproduce:
@@ -509,9 +544,12 @@ def test_misshapen_config_array_is_config_error(tmp_path, capsys, covariance, si
      2, "numerical failure: spike 1e+300 is too strong"),
     (dict(THEORY_CFG, signal={"kind": "localized", "strength_sq": 1e308}),
      2, "numerical failure: eigenvalue scale 1e+308 is too large to bisect in float64\n"),
+    (dict(THEORY_CFG, signal={"kind": "random-svd", "strengths": [1e200], "seed": 1}),
+     2, "numerical failure: eigenvalue scale inf is too large to bisect in float64\n"),
 ], ids=["discrete-lengths", "strengths-above-dim", "samples-below-clusters",
         "negative-signal-seed", "negative-haar-seed", "unknown-assignment",
-        "overflowing-strength", "unbisectable-strength"])
+        "overflowing-strength", "unbisectable-strength", "overflowing-svd-strength"])
+@pytest.mark.filterwarnings("error")   # a numpy warning would be a second line
 def test_bad_theory_config_exits_with_one_line(tmp_path, capsys, cfg, code, message):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
@@ -542,6 +580,22 @@ def test_output_session_removes_partial_files(tmp_path):
             session.write_json("partial.json", {})
             raise RuntimeError("failure after a write")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_output_session_formats_floats_at_its_precision(tmp_path):
+    session = OutputSession(str(tmp_path), {"precision": 4})
+    path = session.write_csv("t.csv", ("a", "b", "c", "d"),
+                             [(1 / 3, np.float64(2 / 3), 12345678, "x")])
+    assert Path(path).read_text() == "a,b,c,d\n0.3333,0.6667,12345678,x\n"
+
+
+def test_every_flag_is_a_config_key():
+    # load_config copies a flag's value to the config key named by its dest
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    for command, parser in subparsers.choices.items():
+        dests = {action.dest for action in parser._actions} - {"help", "config", "out"}
+        assert dests <= set(CONFIG_SCHEMAS[command]["properties"]), command
 
 
 @pytest.mark.parametrize("command", sorted(CONFIG_SCHEMAS))
